@@ -35,10 +35,7 @@
 //
 // Usage:
 //
-//	brightd [-addr :8080] [-workers N] [-queue N] [-cache N]
-//	        [-kernel-threads N] [-solver-precond auto|jacobi|mg]
-//	        [-mg-precision auto|float64|float32] [-mg-smoother auto|jacobi|cheby]
-//	        [-sparse-format auto|csr|sell] [-sweep-segment N]
+//	brightd [-addr :8080] [-workers N] [-queue N] [-cache N] [-sweep-segment N]
 //	        [-request-timeout 5m] [-drain-timeout 30s] [-debug-addr :6060]
 //	        [-max-sessions N] [-session-idle-timeout 2m] [-session-ring N]
 //
@@ -68,32 +65,6 @@
 // under /debug/pprof/ — kept off the public address so profiling
 // endpoints are never exposed to clients by accident.
 //
-// -kernel-threads caps the goroutines the numeric kernels fork inside
-// each solve (0 = GOMAXPROCS); it defaults from the BRIGHT_NUM_THREADS
-// environment variable. On a multi-core box serving few concurrent
-// requests, raise it toward the core count; under a saturated worker
-// pool, 1 avoids oversubscription (the workers already use every core).
-//
-// -solver-precond picks the preconditioner policy for every iterative
-// solve (default from BRIGHT_SOLVER_PRECOND): auto selects multigrid
-// for large symmetric systems and Jacobi elsewhere; jacobi and mg force
-// one family, for A/B runs and for grids where the heuristic guesses
-// wrong.
-//
-// -mg-precision and -mg-smoother tune the multigrid preconditioner
-// behind the mg/auto policies (defaults from BRIGHT_MG_PRECISION and
-// BRIGHT_MG_SMOOTHER): float32 runs the V-cycle in single precision
-// inside the float64 Krylov loop, falling back to float64 per operator
-// when the reduced precision stalls; cheby swaps the damped-Jacobi
-// smoother for a degree-3 Chebyshev polynomial with eigenvalue bounds
-// estimated once at setup.
-//
-// -sparse-format picks the SpMV storage layout for every iterative
-// solve (default from BRIGHT_SPARSE_FORMAT): auto converts large
-// operators to the SELL-C-σ sliced-ELLPACK layout (falling back to CSR
-// when the padding overhead is too high); csr and sell force one layout
-// for A/B runs.
-//
 // -sweep-segment bounds how many grid points one stealable sweep
 // segment carries (0 = default, negative disables chain splitting and
 // restores the whole-chain walk). Smaller segments spread a skewed
@@ -111,57 +82,25 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"bright/internal/cluster"
-	"bright/internal/num"
 	"bright/internal/sim"
 	"bright/internal/stream"
 )
 
-// envInt reads an integer environment variable, returning def when the
-// variable is unset or malformed.
-func envInt(name string, def int) int {
-	if s := os.Getenv(name); s != "" {
-		if v, err := strconv.Atoi(s); err == nil {
-			return v
-		}
-		log.Printf("brightd: ignoring malformed %s=%q", name, s)
-	}
-	return def
-}
-
-// envStr reads a string environment variable, returning def when unset.
-func envStr(name, def string) string {
-	if s := os.Getenv(name); s != "" {
-		return s
-	}
-	return def
-}
-
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", runtime.NumCPU(), "worker pool size")
-		queueDepth  = flag.Int("queue", 64, "bounded job queue depth (full queue => 503)")
-		cacheSize   = flag.Int("cache", 256, "memoization LRU capacity in reports (negative disables)")
-		kernThreads = flag.Int("kernel-threads", envInt("BRIGHT_NUM_THREADS", 0),
-			"goroutine cap for the numeric kernels inside each solve (0 = GOMAXPROCS; env BRIGHT_NUM_THREADS)")
+		addr         = flag.String("addr", ":8080", "listen address")
+		workers      = flag.Int("workers", runtime.NumCPU(), "worker pool size")
+		queueDepth   = flag.Int("queue", 64, "bounded job queue depth (full queue => 503)")
+		cacheSize    = flag.Int("cache", 256, "memoization LRU capacity in reports (negative disables)")
 		reqTimeout   = flag.Duration("request-timeout", 5*time.Minute, "per-request solve timeout")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown drain budget")
 		debugAddr    = flag.String("debug-addr", "",
 			"opt-in debug listener serving /debug/pprof/ (empty = disabled)")
-		precond = flag.String("solver-precond", envStr("BRIGHT_SOLVER_PRECOND", "auto"),
-			"preconditioner policy for the iterative solvers: auto, jacobi or mg (env BRIGHT_SOLVER_PRECOND)")
-		mgPrecision = flag.String("mg-precision", envStr("BRIGHT_MG_PRECISION", "auto"),
-			"multigrid V-cycle arithmetic: auto, float64 or float32 (env BRIGHT_MG_PRECISION)")
-		mgSmoother = flag.String("mg-smoother", envStr("BRIGHT_MG_SMOOTHER", "auto"),
-			"multigrid smoother: auto, jacobi or cheby (env BRIGHT_MG_SMOOTHER)")
-		sparseFormat = flag.String("sparse-format", envStr("BRIGHT_SPARSE_FORMAT", "auto"),
-			"SpMV storage layout: auto, csr or sell (env BRIGHT_SPARSE_FORMAT)")
 		sweepSegment = flag.Int("sweep-segment", 0,
 			"max grid points per stealable sweep segment (0 = default, negative disables chain splitting)")
 		maxSessions = flag.Int("max-sessions", 8,
@@ -205,27 +144,6 @@ func main() {
 		return
 	}
 
-	pc, err := num.ParsePrecond(*precond)
-	if err != nil {
-		log.Fatalf("brightd: -solver-precond: %v", err)
-	}
-	num.SetDefaultPrecond(pc)
-	prec, err := num.ParseMGPrecision(*mgPrecision)
-	if err != nil {
-		log.Fatalf("brightd: -mg-precision: %v", err)
-	}
-	num.SetDefaultMGPrecision(prec)
-	sm, err := num.ParseMGSmoother(*mgSmoother)
-	if err != nil {
-		log.Fatalf("brightd: -mg-smoother: %v", err)
-	}
-	num.SetDefaultMGSmoother(sm)
-	sf, err := num.ParseSparseFormat(*sparseFormat)
-	if err != nil {
-		log.Fatalf("brightd: -sparse-format: %v", err)
-	}
-	num.SetDefaultSparseFormat(sf)
-
 	if *debugAddr != "" {
 		dm := http.NewServeMux()
 		dm.HandleFunc("/debug/pprof/", pprof.Index)
@@ -242,11 +160,10 @@ func main() {
 	}
 
 	engine := sim.New(sim.Options{
-		Workers:       *workers,
-		QueueDepth:    *queueDepth,
-		CacheSize:     *cacheSize,
-		KernelThreads: *kernThreads,
-		SweepSegment:  *sweepSegment,
+		Workers:      *workers,
+		QueueDepth:   *queueDepth,
+		CacheSize:    *cacheSize,
+		SweepSegment: *sweepSegment,
 	})
 	sessions := stream.NewManager(stream.Options{
 		MaxSessions: *maxSessions,

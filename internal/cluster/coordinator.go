@@ -95,6 +95,7 @@ type clusterMetrics struct {
 	quotaRejected    *obs.Counter
 	snapshotPulls    *obs.Counter
 	snapshotRestores *obs.Counter
+	coldRejoins      *obs.Counter
 	chainResubmits   *obs.Counter
 	chainRebalances  *obs.Counter
 	proxyDur         *obs.Histogram
@@ -169,6 +170,8 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 			"Cache snapshots pulled from shards."),
 		snapshotRestores: reg.Counter("bright_cluster_snapshot_restores_total",
 			"Cache snapshots pushed into rejoining shards."),
+		coldRejoins: reg.Counter("bright_cluster_cold_rejoins_total",
+			"Shards readmitted without a restored cache (no snapshot on hand, or the push failed)."),
 		chainResubmits: reg.Counter("bright_cluster_chain_resubmits_total",
 			"Sweep chains resubmitted after losing their shard."),
 		chainRebalances: reg.Counter("bright_cluster_chain_rebalances_total",
@@ -624,23 +627,32 @@ func (c *Coordinator) healthPass(ctx context.Context, fails map[string]int) {
 	}
 }
 
+// snapshotTransferTimeout bounds one cache-snapshot transfer — a pull
+// by a manual snapshot pass, or the push into a rejoining shard. A
+// snapshot carries up to a whole cache of reports, so its transfer is
+// not bounded by a liveness-probe interval.
+const snapshotTransferTimeout = 10 * time.Second
+
 // rejoin warms a recovered backend from its last pulled snapshot, then
-// readmits it to the ring.
+// readmits it to the ring. A shard with no snapshot on hand, or whose
+// push failed, is readmitted cold and counted as such.
 func (c *Coordinator) rejoin(ctx context.Context, addr string) {
 	c.snapMu.Lock()
 	snap, ok := c.snapshots[addr]
 	c.snapMu.Unlock()
 	if ok && len(snap.Entries) > 0 {
-		restoreCtx, cancel := context.WithTimeout(ctx, c.opts.HealthInterval)
+		restoreCtx, cancel := context.WithTimeout(ctx, snapshotTransferTimeout)
 		restored, err := c.clients[addr].putSnapshot(restoreCtx, snap)
 		cancel()
 		if err != nil {
-			log.Printf("cluster: warm rejoin of %s: snapshot push failed: %v", addr, err)
+			c.m.coldRejoins.Inc()
+			log.Printf("cluster: backend %s rejoined cold: snapshot push failed: %v", addr, err)
 		} else {
 			c.m.snapshotRestores.Inc()
 			log.Printf("cluster: backend %s rejoined warm (%d cache entries restored)", addr, restored)
 		}
 	} else {
+		c.m.coldRejoins.Inc()
 		log.Printf("cluster: backend %s rejoined cold (no snapshot on hand)", addr)
 	}
 	c.ring.setAlive(addr, true)
@@ -653,7 +665,7 @@ func (c *Coordinator) snapshotPass(ctx context.Context) {
 	timeout := c.opts.SnapshotInterval
 	if timeout <= 0 {
 		// Manual passes (ticker disabled) still need a bound per pull.
-		timeout = 10 * time.Second
+		timeout = snapshotTransferTimeout
 	}
 	for _, addr := range c.ring.backends() {
 		if !c.ring.isAlive(addr) {

@@ -223,18 +223,25 @@ func TestCoordinatorRoutesByCanonicalKey(t *testing.T) {
 		t.Fatalf("3 identical evaluates caused %d solves across the fleet, want 1", total)
 	}
 
-	// Distinct configurations spread across shards (with 3 backends and
-	// 20 keys, every shard should see work).
+	// Each distinct configuration is solved once, on the shard the ring
+	// assigns its canonical key. Which shards those are depends on the
+	// backends' ephemeral ports, so the expected split is read from the
+	// ring; TestRingDeterministicAndBalanced pins the balance itself.
+	cfg := core.DefaultConfig()
+	cfg.FlowMLMin = 300
+	want := map[string]int64{tc.backendFor(t, cfg).addr: 1}
 	for i := 0; i < 20; i++ {
+		cfg.FlowMLMin = float64(100 + 10*i)
 		resp, body := postJSON(t, tc.srv.URL+"/v1/evaluate",
 			fmt.Sprintf(`{"flow_ml_min": %d}`, 100+10*i))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("evaluate: %d: %s", resp.StatusCode, body)
 		}
+		want[tc.backendFor(t, cfg).addr]++
 	}
 	for _, b := range tc.backends {
-		if b.solver.calls.Load() == 0 {
-			t.Fatalf("backend %s received no work from 21 distinct configs", b.addr)
+		if got := b.solver.calls.Load(); got != want[b.addr] {
+			t.Fatalf("backend %s solved %d configs, want the %d its ring share routes to it", b.addr, got, want[b.addr])
 		}
 	}
 }
@@ -622,96 +629,121 @@ func TestCoordinatorSweepRebalancesQueuedChains(t *testing.T) {
 // in-process: warm a shard, snapshot it, kill it, watch the health loop
 // evict it, bring a cold replacement up on the same address, and verify
 // the coordinator hands it the snapshot so the replacement answers the
-// old working set without solving.
+// old working set without solving. The slow-PUT case applies the
+// snapshot only after several health intervals, as a loaded backend
+// does: the push must still count as a warm rejoin.
 func TestCoordinatorWarmRejoin(t *testing.T) {
-	tc := newTestCluster(t, 3, func(o *Options) {
-		o.HealthInterval = 50 * time.Millisecond
-		o.HealthFailures = 2
-		o.SnapshotInterval = -1 // snapshots pulled manually below
-	})
-	cfg := core.DefaultConfig()
-	cfg.FlowMLMin = 300
-	victim := tc.backendFor(t, cfg)
+	for _, tc := range []struct {
+		name     string
+		putDelay time.Duration
+	}{
+		{"fast PUT", 0},
+		{"slow PUT", 200 * time.Millisecond}, // 4x HealthInterval
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := newTestCluster(t, 3, func(o *Options) {
+				o.HealthInterval = 50 * time.Millisecond
+				o.HealthFailures = 2
+				o.SnapshotInterval = -1 // snapshots pulled manually below
+			})
+			cfg := core.DefaultConfig()
+			cfg.FlowMLMin = 300
+			victim := cl.backendFor(t, cfg)
 
-	// Warm the victim through the coordinator, then snapshot the fleet.
-	resp, body := postJSON(t, tc.srv.URL+"/v1/evaluate", `{"flow_ml_min": 300}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warming evaluate: %d: %s", resp.StatusCode, body)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	tc.coord.snapshotPass(ctx)
-	if got := tc.coord.m.snapshotPulls.Value(); got != 3 {
-		t.Fatalf("snapshot pulls = %d, want 3", got)
-	}
+			// Warm the victim through the coordinator, then snapshot the fleet.
+			resp, body := postJSON(t, cl.srv.URL+"/v1/evaluate", `{"flow_ml_min": 300}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("warming evaluate: %d: %s", resp.StatusCode, body)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			cl.coord.snapshotPass(ctx)
+			if got := cl.coord.m.snapshotPulls.Value(); got != 3 {
+				t.Fatalf("snapshot pulls = %d, want 3", got)
+			}
 
-	// Kill the victim and run the health loop until it is evicted.
-	victimAddr := victim.addr
-	victim.srv.Close()
-	runCtx, stopRun := context.WithCancel(ctx)
-	runDone := make(chan struct{})
-	go func() {
-		defer close(runDone)
-		tc.coord.Run(runCtx)
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for tc.coord.ring.isAlive(victimAddr) {
-		if time.Now().After(deadline) {
-			t.Fatal("health loop never evicted the dead shard")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+			// Kill the victim and run the health loop until it is evicted.
+			victimAddr := victim.addr
+			victim.srv.Close()
+			runCtx, stopRun := context.WithCancel(ctx)
+			runDone := make(chan struct{})
+			go func() {
+				defer close(runDone)
+				cl.coord.Run(runCtx)
+			}()
+			deadline := time.Now().Add(5 * time.Second)
+			for cl.coord.ring.isAlive(victimAddr) {
+				if time.Now().After(deadline) {
+					t.Fatal("health loop never evicted the dead shard")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
 
-	// While the shard is down, its keys are served by the rest of the
-	// fleet.
-	resp, body = postJSON(t, tc.srv.URL+"/v1/evaluate", `{"flow_ml_min": 300}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("evaluate during outage: %d: %s", resp.StatusCode, body)
-	}
+			// While the shard is down, its keys are served by the rest of the
+			// fleet.
+			resp, body = postJSON(t, cl.srv.URL+"/v1/evaluate", `{"flow_ml_min": 300}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("evaluate during outage: %d: %s", resp.StatusCode, body)
+			}
 
-	// Resurrect a cold engine on the same address.
-	l, err := net.Listen("tcp", victimAddr)
-	if err != nil {
-		t.Fatalf("rebinding %s: %v", victimAddr, err)
-	}
-	freshSolver := &fakeSolver{}
-	fresh := sim.New(sim.Options{Workers: 2, Solver: freshSolver.solve})
-	t.Cleanup(func() {
-		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer scancel()
-		if err := fresh.Shutdown(sctx); err != nil {
-			t.Errorf("fresh engine shutdown: %v", err)
-		}
-	})
-	freshSrv := &http.Server{Handler: sim.NewHandler(fresh)}
-	go func() {
-		if err := freshSrv.Serve(l); err != http.ErrServerClosed {
-			t.Errorf("fresh backend: %v", err)
-		}
-	}()
-	t.Cleanup(func() { freshSrv.Close() })
+			// Resurrect a cold engine on the same address.
+			l, err := net.Listen("tcp", victimAddr)
+			if err != nil {
+				t.Fatalf("rebinding %s: %v", victimAddr, err)
+			}
+			freshSolver := &fakeSolver{}
+			fresh := sim.New(sim.Options{Workers: 2, Solver: freshSolver.solve})
+			t.Cleanup(func() {
+				sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer scancel()
+				if err := fresh.Shutdown(sctx); err != nil {
+					t.Errorf("fresh engine shutdown: %v", err)
+				}
+			})
+			var handler http.Handler = sim.NewHandler(fresh)
+			if tc.putDelay > 0 {
+				inner := handler
+				handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.Method == http.MethodPut && r.URL.Path == "/v1/cache/snapshot" {
+						time.Sleep(tc.putDelay)
+					}
+					inner.ServeHTTP(w, r)
+				})
+			}
+			freshSrv := &http.Server{Handler: handler}
+			go func() {
+				if err := freshSrv.Serve(l); err != http.ErrServerClosed {
+					t.Errorf("fresh backend: %v", err)
+				}
+			}()
+			t.Cleanup(func() { freshSrv.Close() })
 
-	// The health loop must readmit it — warm.
-	deadline = time.Now().Add(5 * time.Second)
-	for !tc.coord.ring.isAlive(victimAddr) {
-		if time.Now().After(deadline) {
-			t.Fatal("health loop never readmitted the resurrected shard")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	stopRun()
-	<-runDone
-	if got := tc.coord.m.snapshotRestores.Value(); got != 1 {
-		t.Fatalf("snapshot restores = %d, want 1", got)
-	}
+			// The health loop must readmit it — warm.
+			deadline = time.Now().Add(5 * time.Second)
+			for !cl.coord.ring.isAlive(victimAddr) {
+				if time.Now().After(deadline) {
+					t.Fatal("health loop never readmitted the resurrected shard")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			stopRun()
+			<-runDone
+			if got := cl.coord.m.snapshotRestores.Value(); got != 1 {
+				t.Fatalf("snapshot restores = %d, want 1", got)
+			}
+			if got := cl.coord.m.coldRejoins.Value(); got != 0 {
+				t.Fatalf("cold rejoins = %d, want 0", got)
+			}
 
-	// The resurrected shard answers its old working set from the
-	// restored cache: no solver calls.
-	resp, body = postJSON(t, tc.srv.URL+"/v1/evaluate", `{"flow_ml_min": 300}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("evaluate after rejoin: %d: %s", resp.StatusCode, body)
-	}
-	if n := freshSolver.calls.Load(); n != 0 {
-		t.Fatalf("resurrected shard solved %d times, want 0 (warm cache)", n)
+			// The resurrected shard answers its old working set from the
+			// restored cache: no solver calls.
+			resp, body = postJSON(t, cl.srv.URL+"/v1/evaluate", `{"flow_ml_min": 300}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("evaluate after rejoin: %d: %s", resp.StatusCode, body)
+			}
+			if n := freshSolver.calls.Load(); n != 0 {
+				t.Fatalf("resurrected shard solved %d times, want 0 (warm cache)", n)
+			}
+		})
 	}
 }

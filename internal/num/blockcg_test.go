@@ -13,8 +13,8 @@ import (
 // the sequential summation order exactly, so in practice the match is
 // bitwise; 1e-10 is the contract.
 func TestBlockCGMatchesSequential(t *testing.T) {
-	SetKernelThreads(1)
-	t.Cleanup(func() { SetKernelThreads(0) })
+	setKernelThreads(1)
+	t.Cleanup(func() { setKernelThreads(0) })
 	const n, k = 48, 5
 	a := laplacian2D(n)
 	rng := rand.New(rand.NewSource(41))
@@ -226,15 +226,15 @@ func TestMulVecBlockMatchesMulVec(t *testing.T) {
 			}
 		}
 	}
-	SetKernelThreads(1)
+	setKernelThreads(1)
 	check("serial")
 	// Force the forked path by shrinking the thresholds.
-	SetKernelThreads(4)
+	setKernelThreads(4)
 	oldMin, oldChunk := parallelMinWork, parallelChunkWork
 	parallelMinWork, parallelChunkWork = 1, 512
 	t.Cleanup(func() {
 		parallelMinWork, parallelChunkWork = oldMin, oldChunk
-		SetKernelThreads(0)
+		setKernelThreads(0)
 	})
 	check("parallel")
 }

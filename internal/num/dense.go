@@ -179,7 +179,7 @@ func SolveDense(a *Dense, b []float64) ([]float64, error) {
 }
 
 // Dot returns the inner product of x and y. Large operands are reduced
-// in deterministic chunks across the kernel pool (see SetKernelThreads).
+// in deterministic chunks across the kernel pool (see KernelThreads).
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic(ErrShape)

@@ -214,8 +214,8 @@ func TestAMGConvergence(t *testing.T) {
 // TestMGApplyZeroAlloc is the per-cycle allocation contract: hierarchy
 // setup may allocate, Apply must not.
 func TestMGApplyZeroAlloc(t *testing.T) {
-	SetKernelThreads(1)
-	t.Cleanup(func() { SetKernelThreads(0) })
+	setKernelThreads(1)
+	t.Cleanup(func() { setKernelThreads(0) })
 	a := laplacian2D(32)
 	gmg, err := NewGMG(a, GridShape{NX: 32, NY: 32}, MGOptions{})
 	if err != nil {
@@ -242,61 +242,40 @@ func TestMGApplyZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestParsePrecond(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Precond
-	}{{"auto", PrecondAuto}, {"", PrecondAuto}, {"Jacobi", PrecondJacobi}, {"mg", PrecondMG}, {"MULTIGRID", PrecondMG}} {
-		got, err := ParsePrecond(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParsePrecond(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParsePrecond("ilu"); err == nil {
-		t.Fatal("ParsePrecond accepted unknown name")
-	}
-}
-
-// TestPrecondPolicy pins the auto-selection chain: options override
-// process default, process default overrides the heuristic, and the
-// heuristic picks MG only for large symmetric systems.
+// TestPrecondPolicy pins the preconditioner heuristic: multigrid only
+// for symmetric systems at or above MGAutoThreshold — geometric when
+// the Shape covers the matrix, aggregation AMG otherwise — Jacobi
+// everywhere else, and an explicit IterOptions.M always wins.
 func TestPrecondPolicy(t *testing.T) {
-	t.Cleanup(func() { SetDefaultPrecond(PrecondAuto) })
 	small := laplacian2D(16) // 256 unknowns < MGAutoThreshold
-	large := laplacian2D(64) // 4096 unknowns >= MGAutoThreshold
-	isMG := func(p Preconditioner) bool { _, ok := p.(*Multigrid); return ok }
-
-	SetDefaultPrecond(PrecondAuto)
-	if s := NewSparseSolverSymmetric(small, true, IterOptions{}); isMG(s.Precond()) {
-		t.Fatal("auto picked MG below the size threshold")
+	large := laplacian2D(64) // 4096 unknowns == MGAutoThreshold
+	kind := func(p Preconditioner) string {
+		switch p := p.(type) {
+		case *Multigrid:
+			return p.Kind()
+		case *JacobiPreconditioner:
+			return "jacobi"
+		}
+		return "other"
 	}
-	if s := NewSparseSolverSymmetric(large, true, IterOptions{}); !isMG(s.Precond()) {
-		t.Fatal("auto did not pick MG at the size threshold")
-	}
-	if s := NewSparseSolverSymmetric(large, false, IterOptions{}); isMG(s.Precond()) {
-		t.Fatal("auto picked MG for a nonsymmetric system")
-	}
-
-	// Forced MG builds GMG when a matching shape rides along, AMG
-	// otherwise — even below the auto threshold.
-	sh := &GridShape{NX: 16, NY: 16}
-	if s := NewSparseSolverSymmetric(small, true, IterOptions{Precond: PrecondMG, Shape: sh}); !isMG(s.Precond()) {
-		t.Fatal("forced MG ignored")
-	} else if s.Precond().(*Multigrid).Kind() != "gmg" {
-		t.Fatal("forced MG with shape did not build GMG")
-	}
-	if s := NewSparseSolverSymmetric(small, true, IterOptions{Precond: PrecondMG}); s.Precond().(*Multigrid).Kind() != "amg" {
-		t.Fatal("forced MG without shape did not build AMG")
-	}
-
-	// Process-wide default applies when options stay auto, and the
-	// options-level choice still wins over it.
-	SetDefaultPrecond(PrecondJacobi)
-	if s := NewSparseSolverSymmetric(large, true, IterOptions{}); isMG(s.Precond()) {
-		t.Fatal("process-wide jacobi default ignored")
-	}
-	if s := NewSparseSolverSymmetric(large, true, IterOptions{Precond: PrecondMG}); !isMG(s.Precond()) {
-		t.Fatal("per-options MG lost to the process default")
+	for _, tc := range []struct {
+		name string
+		a    *CSR
+		sym  bool
+		opt  IterOptions
+		want string
+	}{
+		{"small symmetric", small, true, IterOptions{}, "jacobi"},
+		{"small symmetric with shape", small, true, IterOptions{Shape: &GridShape{NX: 16, NY: 16}}, "jacobi"},
+		{"large symmetric", large, true, IterOptions{}, "amg"},
+		{"large symmetric with shape", large, true, IterOptions{Shape: &GridShape{NX: 64, NY: 64}}, "gmg"},
+		{"large symmetric with mismatched shape", large, true, IterOptions{Shape: &GridShape{NX: 32, NY: 32}}, "amg"},
+		{"large nonsymmetric", large, false, IterOptions{Shape: &GridShape{NX: 64, NY: 64}}, "jacobi"},
+		{"explicit M", large, true, IterOptions{M: IdentityPreconditioner{}}, "other"},
+	} {
+		if got := kind(NewSparseSolverSymmetric(tc.a, tc.sym, tc.opt).Precond()); got != tc.want {
+			t.Errorf("%s: preconditioner %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -318,7 +297,7 @@ func TestMaxIterOutcome(t *testing.T) {
 
 	m0, f0, fail0 := maxIterExhausted.Value(), cgFallbacks.Value(), solveFailures.Value()
 	Fill(x, 0)
-	s := NewSparseSolverSymmetric(a, true, IterOptions{Tol: 1e-14, MaxIter: 2, Precond: PrecondJacobi})
+	s := NewSparseSolverSymmetric(a, true, IterOptions{Tol: 1e-14, MaxIter: 2, M: NewJacobi(a)})
 	if _, err := s.Solve(b, x); !errors.Is(err, ErrMaxIter) {
 		t.Fatalf("SparseSolver returned %v, want ErrMaxIter", err)
 	}

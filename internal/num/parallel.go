@@ -16,20 +16,19 @@ import (
 // come from a sync.Pool, work spans are plain values on a buffered
 // channel, and partial-reduction slots live in the reused descriptor.
 //
-// The thread count is process-wide (SetKernelThreads); the serving
-// layer exposes it through sim.Options so deployments can trade
-// intra-solve parallelism against worker-pool concurrency.
+// A kernel call fans out across at most runtime.GOMAXPROCS goroutines.
 
-// kernelThreads holds the configured thread count; 0 means "follow
+// kernelThreads overrides the fan-out cap for tests; 0 means "follow
 // runtime.GOMAXPROCS".
 var kernelThreads atomic.Int32
 
-// SetKernelThreads sets the maximum number of goroutines a single
-// kernel call (SpMV, dot, norm, axpy) may fan out across. n <= 0
-// restores the default (runtime.GOMAXPROCS at call time). Safe to call
-// concurrently with running kernels; in-flight operations finish with
-// the count they started with.
-func SetKernelThreads(n int) {
+// setKernelThreads sets the maximum number of goroutines a single
+// kernel call (SpMV, dot, norm, axpy) may fan out across; tests use it
+// to pin the serial and parallel paths. n <= 0 restores the default
+// (runtime.GOMAXPROCS at call time). Safe to call concurrently with
+// running kernels; in-flight operations finish with the count they
+// started with.
+func setKernelThreads(n int) {
 	if n < 0 {
 		n = 0
 	}
@@ -85,27 +84,22 @@ const (
 	opDot
 	opNorm2
 	opAxpy
-	opMulVec32
 	opMulVecBlock
 	opMulVecSell
-	opMulVecSell32
 )
 
 // parRun describes one forked kernel call. Instances are pooled; the
 // part slice doubles as the partial-reduction scratch and is retained
 // across uses, so steady-state kernel calls do not allocate.
 type parRun struct {
-	op       kernelOp
-	a        *CSR
-	x, y     []float64
-	a32      *CSR32
-	x32, y32 []float32
-	sell     *SELLCS
-	sell32   *SELLCS32
-	blockK   int
-	alpha    float64
-	part     []float64
-	wg       sync.WaitGroup
+	op     kernelOp
+	a      *CSR
+	x, y   []float64
+	sell   *SELLCS
+	blockK int
+	alpha  float64
+	part   []float64
+	wg     sync.WaitGroup
 }
 
 // kernelSpan is one chunk of a run, sent by value over the work channel.
@@ -161,15 +155,11 @@ func (r *parRun) exec(lo, hi, idx int) {
 		r.part[2*idx], r.part[2*idx+1] = m, s
 	case opAxpy:
 		axpyRange(r.alpha, r.x, r.y, lo, hi)
-	case opMulVec32:
-		mulVec32Range(r.a32, r.x32, r.y32, lo, hi)
 	case opMulVecBlock:
 		mulVecBlockRange(r.a, r.x, r.y, r.blockK, lo, hi)
 	case opMulVecSell:
 		// SELL forks over slice indices, not rows.
 		sellMulVecRange(r.sell, r.x, r.y, lo, hi)
-	case opMulVecSell32:
-		sellMulVec32Range(r.sell32, r.x32, r.y32, lo, hi)
 	}
 }
 
@@ -189,8 +179,7 @@ func getRun(op kernelOp) *parRun {
 // matrices or vectors) and returns the descriptor to the pool.
 func putRun(r *parRun) {
 	r.a, r.x, r.y = nil, nil, nil
-	r.a32, r.x32, r.y32 = nil, nil, nil
-	r.sell, r.sell32 = nil, nil
+	r.sell = nil
 	runPool.Put(r)
 }
 
@@ -252,16 +241,6 @@ func norm2Range(x []float64, lo, hi int) (maxv, sumsq float64) {
 func axpyRange(alpha float64, x, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		y[i] += alpha * x[i]
-	}
-}
-
-func mulVec32Range(m *CSR32, x, y []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := float32(0)
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += m.Val[k] * x[m.ColIdx[k]]
-		}
-		y[i] = s
 	}
 }
 

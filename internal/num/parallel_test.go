@@ -13,12 +13,12 @@ import (
 func forceParallel(t *testing.T, threads int) {
 	t.Helper()
 	oldMin, oldChunk := parallelMinWork, parallelChunkWork
-	SetKernelThreads(threads)
+	setKernelThreads(threads)
 	parallelMinWork = 8
 	parallelChunkWork = 4
 	t.Cleanup(func() {
 		parallelMinWork, parallelChunkWork = oldMin, oldChunk
-		SetKernelThreads(0)
+		setKernelThreads(0)
 	})
 }
 
@@ -116,26 +116,19 @@ func TestParallelNorm2EdgeCases(t *testing.T) {
 	}
 }
 
+// TestKernelThreadsConfig: the kernel pool follows GOMAXPROCS, the
+// count /v1/stats reports.
 func TestKernelThreadsConfig(t *testing.T) {
-	SetKernelThreads(3)
-	if got := KernelThreads(); got != 3 {
-		t.Fatalf("KernelThreads = %d after SetKernelThreads(3)", got)
-	}
-	SetKernelThreads(0)
 	if got := KernelThreads(); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("KernelThreads = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	SetKernelThreads(-5) // negative normalizes to the default
-	if got := KernelThreads(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("KernelThreads = %d after negative set", got)
 	}
 }
 
 // TestSerialFallbackBelowThreshold pins the fork gate: operands below
 // parallelMinWork must not spawn kernel workers.
 func TestSerialFallbackBelowThreshold(t *testing.T) {
-	SetKernelThreads(8)
-	t.Cleanup(func() { SetKernelThreads(0) })
+	setKernelThreads(8)
+	t.Cleanup(func() { setKernelThreads(0) })
 	if c := kernelChunks(parallelMinWork - 1); c != 1 {
 		t.Fatalf("kernelChunks(minWork-1) = %d, want 1", c)
 	}
@@ -159,7 +152,7 @@ func TestParallelCGMatchesSerial(t *testing.T) {
 	}
 	opt := IterOptions{Tol: 1e-12, M: NewJacobi(a)}
 
-	SetKernelThreads(1)
+	setKernelThreads(1)
 	xSerial := make([]float64, n)
 	if _, err := CG(a, b, xSerial, opt); err != nil {
 		t.Fatal(err)

@@ -93,44 +93,16 @@ func TestSELLStructure(t *testing.T) {
 	}
 }
 
-// TestSELL32MatchesCSR32 pins the float32 mirror against the serial
-// CSR32 kernel the same way.
-func TestSELL32MatchesCSR32(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := skewedCSR(rng, 500, 200)
-	a32 := NewCSR32(a)
-	if a32 == nil {
-		t.Fatal("NewCSR32 returned nil")
-	}
-	s32 := newSELLCS32(NewSELLCS(a))
-	if s32 == nil {
-		t.Fatal("newSELLCS32 returned nil")
-	}
-	x := make([]float32, a.Cols)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-	}
-	want := make([]float32, a.Rows)
-	mulVec32Range(a32, x, want, 0, a.Rows)
-	got := make([]float32, a.Rows)
-	s32.MulVec(x, got)
-	for i := range want {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("row %d: SELL32 %v != CSR32 %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestSELLParallelMatchesSerial forces the kernel-pool fork on a small
 // matrix (shrunk thresholds) and checks the result is still bitwise the
 // serial one — slices are independent, so the split cannot change bits.
 func TestSELLParallelMatchesSerial(t *testing.T) {
 	minWork, chunkWork := parallelMinWork, parallelChunkWork
 	parallelMinWork, parallelChunkWork = 1, 1
-	SetKernelThreads(4)
+	setKernelThreads(4)
 	t.Cleanup(func() {
 		parallelMinWork, parallelChunkWork = minWork, chunkWork
-		SetKernelThreads(0)
+		setKernelThreads(0)
 	})
 	rng := rand.New(rand.NewSource(11))
 	a := skewedCSR(rng, 513, 513)
@@ -150,39 +122,35 @@ func TestSELLParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEnsureFormatPolicy walks the policy chain: explicit option beats
-// the process default beats the size heuristic, and a pathologically
-// padded matrix falls back to CSR with the fallback counter bumped.
+// TestEnsureFormatPolicy pins the format heuristic: SELL-C-σ at and
+// above sellMinRows rows, CSR below it, CSR again when the conversion
+// pads past sellMaxPadding (counted), and one conversion per matrix.
+// sellMinRows is lowered to exercise both sides on small operators.
 func TestEnsureFormatPolicy(t *testing.T) {
-	t.Cleanup(func() { SetDefaultSparseFormat(FormatAuto) })
+	oldMin := sellMinRows
+	t.Cleanup(func() { sellMinRows = oldMin })
 
-	small := laplacian2D(8) // 64 rows, far below sellMinRows
-	small.EnsureFormat(FormatAuto)
+	big := laplacian2D(70) // 4900 rows, above the default sellMinRows
+	big.EnsureFormat()
+	if big.sell.Load() == nil {
+		t.Fatal("heuristic did not attach SELL above sellMinRows")
+	}
+
+	small := laplacian2D(8) // 64 rows
+	sellMinRows = small.Rows + 1
+	small.EnsureFormat()
 	if small.sell.Load() != nil {
 		t.Fatal("heuristic attached SELL below sellMinRows")
 	}
-	small.EnsureFormat(FormatSELL)
+	sellMinRows = small.Rows
+	c0 := sellConversions.Value()
+	small.EnsureFormat()
+	small.EnsureFormat() // idempotent: the attached mirror is kept
 	if small.sell.Load() == nil {
-		t.Fatal("explicit FormatSELL did not attach a mirror")
+		t.Fatal("heuristic did not attach SELL at sellMinRows")
 	}
-
-	SetDefaultSparseFormat(FormatSELL)
-	viaDefault := laplacian2D(8)
-	viaDefault.EnsureFormat(FormatAuto)
-	if viaDefault.sell.Load() == nil {
-		t.Fatal("process default FormatSELL did not attach a mirror")
-	}
-	forcedCSR := laplacian2D(8)
-	forcedCSR.EnsureFormat(FormatCSR)
-	if forcedCSR.sell.Load() != nil {
-		t.Fatal("explicit FormatCSR did not override the process default")
-	}
-	SetDefaultSparseFormat(FormatAuto)
-
-	big := laplacian2D(70) // 4900 rows, above sellMinRows
-	big.EnsureFormat(FormatAuto)
-	if big.sell.Load() == nil {
-		t.Fatal("heuristic did not attach SELL above sellMinRows")
+	if d := sellConversions.Value() - c0; d != 1 {
+		t.Fatalf("conversion counter moved by %d, want 1", d)
 	}
 
 	// One dense row among empties: padding ratio far beyond the
@@ -192,68 +160,15 @@ func TestEnsureFormatPolicy(t *testing.T) {
 		skew.Add(0, j, 1)
 	}
 	padded := skew.ToCSR()
+	sellMinRows = padded.Rows
 	fb0 := sellFallbacks.Value()
-	padded.EnsureFormat(FormatSELL)
+	padded.EnsureFormat()
 	if padded.sell.Load() != nil {
 		t.Fatalf("padding ratio %v should have fallen back to CSR",
 			NewSELLCS(padded).PaddingRatio())
 	}
 	if sellFallbacks.Value() != fb0+1 {
 		t.Fatal("fallback not counted")
-	}
-}
-
-// TestParseSparseFormat pins the flag/env surface.
-func TestParseSparseFormat(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want SparseFormat
-	}{
-		{"", FormatAuto}, {"auto", FormatAuto}, {"csr", FormatCSR},
-		{"sell", FormatSELL}, {"SELLCS", FormatSELL}, {" Sell ", FormatSELL},
-	} {
-		got, err := ParseSparseFormat(c.in)
-		if err != nil || got != c.want {
-			t.Fatalf("ParseSparseFormat(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	if _, err := ParseSparseFormat("ellpack"); err == nil {
-		t.Fatal("ParseSparseFormat accepted garbage")
-	}
-	for _, f := range []SparseFormat{FormatAuto, FormatCSR, FormatSELL} {
-		back, err := ParseSparseFormat(f.String())
-		if err != nil || back != f {
-			t.Fatalf("round trip %v -> %q -> %v, %v", f, f.String(), back, err)
-		}
-	}
-}
-
-// TestCSR32InheritsSELL: demoting a CSR that carries a SELL mirror must
-// produce a CSR32 carrying the float32 mirror, and the two must agree.
-func TestCSR32InheritsSELL(t *testing.T) {
-	a := laplacian2D(20)
-	a.EnsureFormat(FormatSELL)
-	a32 := NewCSR32(a)
-	if a32 == nil {
-		t.Fatal("NewCSR32 returned nil")
-	}
-	s32 := a32.sell.Load()
-	if s32 == nil {
-		t.Fatal("CSR32 did not inherit the SELL mirror")
-	}
-	x := make([]float32, a.Cols)
-	for i := range x {
-		x[i] = float32(i%5) - 2
-	}
-	want := make([]float32, a.Rows)
-	mulVec32Range(&CSR32{Rows: a32.Rows, Cols: a32.Cols, RowPtr: a32.RowPtr, ColIdx: a32.ColIdx, Val: a32.Val},
-		x, want, 0, a.Rows)
-	got := make([]float32, a.Rows)
-	a32.MulVec(x, got)
-	for i := range want {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("row %d: inherited SELL32 %v != CSR32 %v", i, got[i], want[i])
-		}
 	}
 }
 

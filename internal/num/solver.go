@@ -58,8 +58,8 @@ type SparseSolver struct {
 }
 
 // NewSparseSolver builds a solver for a, detecting symmetry once
-// (numerically, to 1e-12). opt.M overrides the policy-built
-// preconditioner when non-nil.
+// (numerically, to 1e-12). opt.M overrides the built-in preconditioner
+// choice (see buildPrecond) when non-nil.
 func NewSparseSolver(a *CSR, opt IterOptions) *SparseSolver {
 	return NewSparseSolverSymmetric(a, a.IsSymmetric(1e-12), opt)
 }
@@ -72,7 +72,7 @@ func NewSparseSolver(a *CSR, opt IterOptions) *SparseSolver {
 // a CG breakdown falls back to BiCGSTAB on the same cached
 // preconditioner.
 func NewSparseSolverSymmetric(a *CSR, symmetric bool, opt IterOptions) *SparseSolver {
-	a.EnsureFormat(opt.Format)
+	a.EnsureFormat()
 	s := &SparseSolver{a: a, sym: symmetric, opt: opt}
 	if opt.M != nil {
 		s.pre = opt.M
@@ -82,8 +82,8 @@ func NewSparseSolverSymmetric(a *CSR, symmetric bool, opt IterOptions) *SparseSo
 	return s
 }
 
-// Precond returns the preconditioner the solver resolved at build time
-// (callers inspect it to confirm which policy branch was taken).
+// Precond returns the preconditioner the solver picked at build time
+// (callers inspect it to confirm which branch of buildPrecond was taken).
 func (s *SparseSolver) Precond() Preconditioner { return s.pre }
 
 // Symmetric reports the cached symmetry decision.
@@ -142,7 +142,6 @@ func (s *SparseSolver) Solve(b, x []float64) (IterResult, error) {
 	defer s.mu.Unlock()
 	opt := s.opt
 	opt.M = s.pre
-	s.fmgSeed(b, x)
 	if s.sym {
 		res, err := CGWith(s.a, b, x, opt, &s.ws)
 		cgSolves.Inc()
@@ -171,23 +170,6 @@ func (s *SparseSolver) Solve(b, x []float64) (IterResult, error) {
 		solveFailures.Inc()
 	}
 	return res, err
-}
-
-// fmgSeed replaces a cold start (all-zero x) with a full-multigrid
-// initial guess when the cached preconditioner is a Multigrid built
-// with FMGGuess. Warm starts (nonzero x) are left alone — a previous
-// solution is a better guess than FMG.
-func (s *SparseSolver) fmgSeed(b, x []float64) {
-	mg, ok := s.pre.(*Multigrid)
-	if !ok || !mg.opt.FMGGuess {
-		return
-	}
-	for _, v := range x {
-		if v != 0 {
-			return
-		}
-	}
-	mg.FMG(b, x)
 }
 
 // SolveBlock solves the k systems A x_j = b_j together. b and x hold

@@ -92,7 +92,7 @@ type CSR struct {
 func (m *CSR) NNZ() int { return len(m.Val) }
 
 // MulVec computes y = m*x. Large matrices are row-partitioned across
-// the kernel pool (see SetKernelThreads); the per-row sums are
+// the kernel pool (see KernelThreads); the per-row sums are
 // identical to the serial loop either way.
 func (m *CSR) MulVec(x, y []float64) {
 	if s := m.sell.Load(); s != nil {

@@ -67,6 +67,23 @@ func (c *lruCache) Get(key string) (*core.Report, bool) {
 	return el.Value.(*cacheEntry).rep, true
 }
 
+// peek is Get without the hit/miss counters or the recency update. A
+// new flight leader uses it to re-check the cache: a flight for the key
+// that completed between the caller's Get and its join has already
+// published its report, and must not be solved again.
+func (c *lruCache) peek(key string) (*core.Report, bool) {
+	if !c.enabled() {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*cacheEntry).rep, true
+}
+
 // Add inserts (or refreshes) a solved report, evicting the least
 // recently used entry when the cache is full. The refresh path counts
 // the overwrite (the old report is dropped, which is an event worth

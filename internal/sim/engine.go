@@ -69,14 +69,6 @@ type Options struct {
 	// trades steal granularity against warm-start carry — each segment's
 	// first point re-warms its solver stack cold.
 	SweepSegment int
-	// KernelThreads caps the goroutines the numeric kernels (SpMV, dot,
-	// axpy) fork per operation; 0 keeps the current process-wide setting
-	// (which defaults to GOMAXPROCS). The setting is process-wide — the
-	// kernels are shared by every solver in the process — so the last
-	// engine created wins. Deployments running one engine per process
-	// (brightd) set it from the BRIGHT_NUM_THREADS environment or the
-	// -kernel-threads flag.
-	KernelThreads int
 	// Solver overrides the production solver (tests, benchmarks).
 	Solver Solver
 	// BatchSolver builds a fresh stateful solver for one sweep chain — a
@@ -169,9 +161,6 @@ type Engine struct {
 // New builds and starts an engine: the worker pool is running on return.
 func New(opts Options) *Engine {
 	opts = opts.withDefaults()
-	if opts.KernelThreads > 0 {
-		num.SetKernelThreads(opts.KernelThreads)
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -256,6 +245,10 @@ func (e *Engine) evaluate(ctx context.Context, cfg core.Config, block bool) (*co
 		}
 		call, leader := e.flight.join(key)
 		if leader {
+			if rep, ok := e.cache.peek(key); ok {
+				e.flight.complete(key, call, rep, nil)
+				return rep, nil
+			}
 			t := &task{ctx: ctx, cfg: cfg, key: key, call: call}
 			if err := e.enqueue(t, block); err != nil {
 				e.flight.forget(key, call, err)
@@ -303,6 +296,10 @@ func (e *Engine) evaluateChained(ctx context.Context, cfg core.Config, solver So
 		}
 		call, leader := e.flight.join(key)
 		if leader {
+			if rep, ok := e.cache.peek(key); ok {
+				e.flight.complete(key, call, rep, nil)
+				return rep, false, nil
+			}
 			start := time.Now()
 			rep, err := solver(ctx, cfg)
 			e.m.recordSolve(time.Since(start), err)

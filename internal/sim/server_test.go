@@ -200,7 +200,7 @@ func TestHTTPUnknownJob(t *testing.T) {
 
 func TestHTTPQueueFullIs503(t *testing.T) {
 	s := &countingSolver{block: make(chan struct{})}
-	_, srv := newTestServer(t, Options{Workers: 1, QueueDepth: 1, Solver: s.solve})
+	e, srv := newTestServer(t, Options{Workers: 1, QueueDepth: 1, Solver: s.solve})
 	defer close(s.block)
 
 	// Saturate: 1 running + 1 queued (distinct configs so no dedup).
@@ -214,8 +214,11 @@ func TestHTTPQueueFullIs503(t *testing.T) {
 			}
 		}()
 	}
+	// Saturated means one solve running and one request queued: a probe
+	// sent earlier would take the free queue slot and block on the
+	// never-finishing solver.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.calls.Load() < 1 {
+	for s.calls.Load() < 1 || e.Stats().QueueDepth < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("server never saturated")
 		}

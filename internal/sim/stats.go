@@ -79,8 +79,8 @@ type Stats struct {
 	SweepPrefetches     uint64 `json:"sweep_prefetches"`
 	SweepPrefetchErrors uint64 `json:"sweep_prefetch_errors"`
 
-	// KernelThreads is the resolved process-wide goroutine cap of the
-	// numeric kernels (SpMV, dot, axpy) behind every solve.
+	// KernelThreads is the goroutine cap of the numeric kernels (SpMV,
+	// dot, axpy) behind every solve: the process's GOMAXPROCS.
 	KernelThreads int `json:"kernel_threads"`
 }
 
