@@ -3,7 +3,9 @@
 # domain-aware analyzers in internal/lint: SI-unit literals, *Context
 # propagation on serving paths, obs registration placement, discarded
 # errors, goroutine lifecycle, lock hygiene, HTTP response lifecycle),
-# the build, the serving tier under the race detector with the
+# the build, a vet of the separate e2ebench module (`bench-build`: it
+# imports bright/internal/..., which the root build cannot see break),
+# the serving tier under the race detector with the
 # leakcheck goroutine-neutrality harness active (`race-all` — the sim
 # engine, streaming sessions and cluster coordinator are heavily
 # concurrent; races and leaked goroutines there are correctness bugs,
@@ -13,9 +15,9 @@
 
 GO ?= go
 
-.PHONY: check fmt-check build vet lint lint-fix-list test race race-all test-short test-loaded fuzz bench bench-serving bench-compare escape-check
+.PHONY: check fmt-check build bench-build vet lint lint-fix-list test race race-all test-short test-loaded fuzz bench bench-serving bench-compare escape-check
 
-check: fmt-check vet lint build race-all escape-check
+check: fmt-check vet lint build bench-build race-all escape-check
 
 # Formatting gate: any file gofmt would rewrite fails the build.
 fmt-check:
@@ -27,6 +29,12 @@ fmt-check:
 
 build:
 	$(GO) build ./...
+
+# The end-to-end benchmark is its own module (`replace bright => ../`),
+# so `go build ./...` at the root skips it; vetting it from inside
+# catches an internal API change that breaks the benchmark's build.
+bench-build:
+	$(GO) -C e2ebench vet ./...
 
 vet:
 	$(GO) vet ./...

@@ -628,9 +628,9 @@ func (c *Coordinator) healthPass(ctx context.Context, fails map[string]int) {
 }
 
 // snapshotTransferTimeout bounds one cache-snapshot transfer — a pull
-// by a manual snapshot pass, or the push into a rejoining shard. A
-// snapshot carries up to a whole cache of reports, so its transfer is
-// not bounded by a liveness-probe interval.
+// by a snapshot pass, or the push into a rejoining shard. A snapshot
+// carries up to a whole cache of reports, so its transfer is bounded
+// neither by a liveness-probe interval nor by the snapshot pacing.
 const snapshotTransferTimeout = 10 * time.Second
 
 // rejoin warms a recovered backend from its last pulled snapshot, then
@@ -660,18 +660,15 @@ func (c *Coordinator) rejoin(ctx context.Context, addr string) {
 }
 
 // snapshotPass pulls each alive backend's cache snapshot, keeping the
-// newest per backend as its warm-rejoin payload.
+// newest per backend as its warm-rejoin payload. Each pull has the
+// transfer budget, not the pacing interval: a loaded backend may take
+// longer than SnapshotInterval to serialize its cache.
 func (c *Coordinator) snapshotPass(ctx context.Context) {
-	timeout := c.opts.SnapshotInterval
-	if timeout <= 0 {
-		// Manual passes (ticker disabled) still need a bound per pull.
-		timeout = snapshotTransferTimeout
-	}
 	for _, addr := range c.ring.backends() {
 		if !c.ring.isAlive(addr) {
 			continue
 		}
-		pullCtx, cancel := context.WithTimeout(ctx, timeout)
+		pullCtx, cancel := context.WithTimeout(ctx, snapshotTransferTimeout)
 		snap, err := c.clients[addr].getSnapshot(pullCtx)
 		cancel()
 		if err != nil {

@@ -92,6 +92,9 @@ type testBackend struct {
 	engine *sim.Engine
 	srv    *httptest.Server
 	addr   string
+	// snapGetDelay (ns) stalls GET /v1/cache/snapshot, as a loaded
+	// backend serializing a large cache does.
+	snapGetDelay atomic.Int64
 }
 
 func newTestBackend(t *testing.T, solver *fakeSolver) *testBackend {
@@ -104,14 +107,17 @@ func newTestBackend(t *testing.T, solver *fakeSolver) *testBackend {
 			t.Errorf("engine shutdown: %v", err)
 		}
 	})
-	srv := httptest.NewServer(sim.NewHandler(e))
-	t.Cleanup(srv.Close)
-	return &testBackend{
-		solver: solver,
-		engine: e,
-		srv:    srv,
-		addr:   strings.TrimPrefix(srv.URL, "http://"),
-	}
+	b := &testBackend{solver: solver, engine: e}
+	inner := sim.NewHandler(e)
+	b.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == "/v1/cache/snapshot" {
+			time.Sleep(time.Duration(b.snapGetDelay.Load()))
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(b.srv.Close)
+	b.addr = strings.TrimPrefix(b.srv.URL, "http://")
+	return b
 }
 
 // testCluster boots n in-process shards plus a coordinator.
@@ -631,20 +637,25 @@ func TestCoordinatorSweepRebalancesQueuedChains(t *testing.T) {
 // the coordinator hands it the snapshot so the replacement answers the
 // old working set without solving. The slow-PUT case applies the
 // snapshot only after several health intervals, as a loaded backend
-// does: the push must still count as a warm rejoin.
+// does: the push must still count as a warm rejoin. The slow-GET case
+// serves the snapshot pull more slowly than the snapshot pacing
+// interval: the pull must still land.
 func TestCoordinatorWarmRejoin(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		putDelay time.Duration
+		name         string
+		snapInterval time.Duration // -1: ticker off, snapshots pulled manually only
+		getDelay     time.Duration
+		putDelay     time.Duration
 	}{
-		{"fast PUT", 0},
-		{"slow PUT", 200 * time.Millisecond}, // 4x HealthInterval
+		{"fast PUT", -1, 0, 0},
+		{"slow PUT", -1, 0, 200 * time.Millisecond},                    // 4x HealthInterval
+		{"slow GET", 20 * time.Millisecond, 100 * time.Millisecond, 0}, // 5x SnapshotInterval
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cl := newTestCluster(t, 3, func(o *Options) {
 				o.HealthInterval = 50 * time.Millisecond
 				o.HealthFailures = 2
-				o.SnapshotInterval = -1 // snapshots pulled manually below
+				o.SnapshotInterval = tc.snapInterval
 			})
 			cfg := core.DefaultConfig()
 			cfg.FlowMLMin = 300
@@ -657,9 +668,16 @@ func TestCoordinatorWarmRejoin(t *testing.T) {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
+			for _, b := range cl.backends {
+				b.snapGetDelay.Store(int64(tc.getDelay))
+			}
 			cl.coord.snapshotPass(ctx)
 			if got := cl.coord.m.snapshotPulls.Value(); got != 3 {
 				t.Fatalf("snapshot pulls = %d, want 3", got)
+			}
+			// Later pulls by the Run loop below are not under test.
+			for _, b := range cl.backends {
+				b.snapGetDelay.Store(0)
 			}
 
 			// Kill the victim and run the health loop until it is evicted.

@@ -250,7 +250,7 @@ func benchPrecond(b *testing.B, a *CSR, shape GridShape, tol float64) {
 		}
 	}
 	b.Run("jacobi", func(b *testing.B) { run(b, NewJacobi(a)) })
-	mg, err := NewGMG(a, shape, MGOptions{})
+	mg, err := NewGMG(a, shape)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func BenchmarkBlockCG128x128(b *testing.B) {
 	}
 	opt := IterOptions{Tol: 1e-8, M: NewJacobi(a)}
 	b.Run("seq", func(b *testing.B) {
-		ws := NewWorkspace(n)
+		ws := &Workspace{}
 		x := make([]float64, n)
 		rows0 := spmvRowsTraversed.Value()
 		b.ResetTimer()

@@ -1,8 +1,9 @@
 // Package num is the numerical kernel of the repository: dense and sparse
-// linear algebra, iterative Krylov solvers, tridiagonal systems, scalar
-// root finding, interpolation and quadrature. It is deliberately small,
-// allocation-conscious and dependency-free; it stands in for the numerics
-// that the paper obtained from COMSOL.
+// linear algebra, iterative Krylov solvers with multigrid
+// preconditioning, tridiagonal systems, scalar root finding, fixed-step
+// ODE integration and box-constrained minimization. It is deliberately
+// small, allocation-conscious and dependency-free; it stands in for the
+// numerics that the paper obtained from COMSOL.
 package num
 
 import (
@@ -65,10 +66,9 @@ func (m *Dense) MulVec(x, y []float64) {
 
 // LU is an LU factorization with partial pivoting of a square matrix.
 type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
+	n   int
+	lu  []float64
+	piv []int
 }
 
 // FactorLU computes the LU factorization of the square matrix a with
@@ -78,7 +78,7 @@ func FactorLU(a *Dense) (*LU, error) {
 		return nil, ErrShape
 	}
 	n := a.Rows
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
 	copy(f.lu, a.Data)
 	for i := range f.piv {
 		f.piv[i] = i
@@ -99,7 +99,6 @@ func FactorLU(a *Dense) (*LU, error) {
 				f.lu[p*n+j], f.lu[k*n+j] = f.lu[k*n+j], f.lu[p*n+j]
 			}
 			f.piv[p], f.piv[k] = f.piv[k], f.piv[p]
-			f.sign = -f.sign
 		}
 		pivot := f.lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -158,15 +157,6 @@ func (f *LU) SolveInto(x, b []float64) error {
 		x[i] = s / d
 	}
 	return nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }
 
 // SolveDense solves the square dense system A x = b.
@@ -236,17 +226,6 @@ func Norm2(x []float64) float64 {
 	return maxv * math.Sqrt(s)
 }
 
-// NormInf returns the maximum absolute entry of x.
-func NormInf(x []float64) float64 {
-	m := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Axpy computes y += alpha*x in place. Large operands update in
 // parallel chunks.
 func Axpy(alpha float64, x, y []float64) {
@@ -265,32 +244,11 @@ func Axpy(alpha float64, x, y []float64) {
 	putRun(r)
 }
 
-// Scale multiplies x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // Fill sets every element of x to v.
 func Fill(x []float64, v float64) {
 	for i := range x {
 		x[i] = v
 	}
-}
-
-// MaxSlice returns the maximum value in x; it panics on empty input.
-func MaxSlice(x []float64) float64 {
-	if len(x) == 0 {
-		panic("num: MaxSlice of empty slice")
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // MinSlice returns the minimum value in x; it panics on empty input.

@@ -70,21 +70,6 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-func TestLUDeterminant(t *testing.T) {
-	a := NewDense(2, 2)
-	a.Set(0, 0, 3)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 4)
-	a.Set(1, 1, 2)
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := f.Det(); math.Abs(d-2) > 1e-12 {
-		t.Fatalf("det = %g, want 2", d)
-	}
-}
-
 // Property: for random well-conditioned matrices, A*(A\b) == b.
 func TestLUSolveResidualProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -119,9 +104,6 @@ func TestVectorOps(t *testing.T) {
 	if Norm2(x) != 5 {
 		t.Fatalf("Norm2 = %g", Norm2(x))
 	}
-	if NormInf([]float64{-7, 2}) != 7 {
-		t.Fatal("NormInf")
-	}
 	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
 		t.Fatal("Dot")
 	}
@@ -130,17 +112,13 @@ func TestVectorOps(t *testing.T) {
 	if y[0] != 3 || y[1] != 5 {
 		t.Fatalf("Axpy = %v", y)
 	}
-	Scale(0.5, y)
-	if y[0] != 1.5 || y[1] != 2.5 {
-		t.Fatalf("Scale = %v", y)
-	}
 	z := make([]float64, 3)
 	Fill(z, 9)
 	if z[2] != 9 {
 		t.Fatal("Fill")
 	}
-	if MaxSlice([]float64{1, 9, 3}) != 9 || MinSlice([]float64{1, 9, 3}) != 1 {
-		t.Fatal("Max/MinSlice")
+	if MinSlice([]float64{1, 9, 3}) != 1 {
+		t.Fatal("MinSlice")
 	}
 }
 

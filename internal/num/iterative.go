@@ -70,12 +70,10 @@ type IterOptions struct {
 	// M is the preconditioner; identity if nil. SparseSolver builds its
 	// own (multigrid or Jacobi, see buildPrecond) when M is nil.
 	M Preconditioner
-	// Shape, when non-nil and covering the matrix, tells SparseSolver's
-	// multigrid the structured grid behind the unknowns so it can build
-	// geometric multigrid; without it MG falls back to aggregation AMG.
+	// Shape, when non-nil and covering the matrix, tells SparseSolver
+	// the structured grid behind the unknowns so it can build geometric
+	// multigrid; without it the solver preconditions with Jacobi.
 	Shape *GridShape
-	// MG tunes the multigrid hierarchy when one is built.
-	MG MGOptions
 }
 
 // defaultMaxIterCap bounds the derived 10*n iteration budget.
@@ -264,17 +262,4 @@ func BiCGSTABWith(a *CSR, b, x []float64, opt IterOptions, ws *Workspace) (IterR
 		}
 	}
 	return IterResult{opt.MaxIter, res}, fmt.Errorf("%w: BiCGSTAB after %d iters, residual %.3e", ErrMaxIter, opt.MaxIter, res)
-}
-
-// SolveSparse is a convenience wrapper: it chooses CG with a Jacobi
-// preconditioner when the matrix is symmetric, BiCGSTAB otherwise, and
-// returns the solution in a fresh slice. Both the CG attempt and the
-// indefinite-matrix fallback to BiCGSTAB run through one SparseSolver,
-// so the symmetry scan and the preconditioner are paid exactly once;
-// callers solving repeatedly against the same matrix should hold a
-// SparseSolver themselves.
-func SolveSparse(a *CSR, b []float64, opt IterOptions) ([]float64, IterResult, error) {
-	x := make([]float64, len(b))
-	res, err := NewSparseSolver(a, opt).Solve(b, x)
-	return x, res, err
 }

@@ -117,36 +117,6 @@ func TestBiCGSTABNonsymmetric(t *testing.T) {
 	}
 }
 
-func TestSolveSparseAutodetect(t *testing.T) {
-	// Symmetric path.
-	a := laplacian1D(40)
-	b := make([]float64, 40)
-	b[20] = 1
-	x, _, err := SolveSparse(a, b, IterOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := residual(a, x, b); r > 1e-10 {
-		t.Fatalf("sym residual %g", r)
-	}
-	// Nonsymmetric path.
-	c := NewCOO(3, 3)
-	c.Add(0, 0, 4)
-	c.Add(0, 1, 1)
-	c.Add(1, 1, 3)
-	c.Add(1, 0, -1)
-	c.Add(2, 2, 5)
-	an := c.ToCSR()
-	bn := []float64{1, 2, 3}
-	xn, _, err := SolveSparse(an, bn, IterOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := residual(an, xn, bn); r > 1e-10 {
-		t.Fatalf("nonsym residual %g", r)
-	}
-}
-
 func TestCGAgainstDirectSolve(t *testing.T) {
 	// Random SPD matrix: CG and dense LU must agree.
 	rng := rand.New(rand.NewSource(11))

@@ -13,10 +13,8 @@ import (
 var (
 	mgSetupsGMG = obs.Default.Counter("bright_mg_setups_total",
 		"Multigrid hierarchy constructions by kind.", obs.L("kind", "gmg"))
-	mgSetupsAMG = obs.Default.Counter("bright_mg_setups_total",
-		"Multigrid hierarchy constructions by kind.", obs.L("kind", "amg"))
 	mgCycles = obs.Default.Counter("bright_mg_cycles_total",
-		"Multigrid V-cycles executed (one Apply may run several).")
+		"Multigrid V-cycles executed (one per Apply).")
 	mgLevelsBuilt = obs.Default.Counter("bright_mg_levels_total",
 		"Multigrid levels constructed across all setups (levels per setup = depth of that hierarchy).")
 	mgCoarseHeavySmooths = obs.Default.Counter("bright_mg_coarse_heavy_smooths_total",
@@ -40,57 +38,24 @@ func (s GridShape) nz() int {
 // Cells returns the total unknown count the shape implies.
 func (s GridShape) Cells() int { return s.NX * s.NY * s.nz() }
 
+// covers reports whether the shape describes exactly n unknowns.
+func (s GridShape) covers(n int) bool { return s.NX > 0 && s.NY > 0 && s.Cells() == n }
+
 // coarsen halves every axis (cell-centered: ceil(n/2)).
 func (s GridShape) coarsen() GridShape {
 	h := func(n int) int { return (n + 1) / 2 }
 	return GridShape{NX: h(s.NX), NY: h(s.NY), NZ: h(s.nz())}
 }
 
-// MGOptions tunes the multigrid hierarchy. The zero value gives a
-// symmetric V(1,1) cycle with damped-Jacobi smoothing — symmetric
-// pre/post smoothing and R = P^T keep the preconditioner SPD for SPD
-// operators, which CG requires.
-type MGOptions struct {
-	// PreSmooth / PostSmooth are damped-Jacobi sweeps per level per
-	// cycle (defaults 1 and 1; keep them equal for CG).
-	PreSmooth, PostSmooth int
-	// Omega is the Jacobi damping factor (default 0.8).
-	Omega float64
-	// CoarsestN stops coarsening once a level has at most this many
-	// unknowns; that level is solved directly by dense LU (default 64).
-	CoarsestN int
-	// MaxLevels bounds the hierarchy depth (default 16).
-	MaxLevels int
-	// Cycles is the number of V-cycles per Apply (default 1).
-	Cycles int
-	// Theta is the AMG strength-of-connection threshold (default 0.08).
-	Theta float64
-}
-
-func (o MGOptions) withDefaults() MGOptions {
-	if o.PreSmooth <= 0 {
-		o.PreSmooth = 1
-	}
-	if o.PostSmooth <= 0 {
-		o.PostSmooth = 1
-	}
-	if o.Omega <= 0 {
-		o.Omega = 0.8
-	}
-	if o.CoarsestN <= 0 {
-		o.CoarsestN = 64
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 16
-	}
-	if o.Cycles <= 0 {
-		o.Cycles = 1
-	}
-	if o.Theta <= 0 {
-		o.Theta = 0.08
-	}
-	return o
-}
+// Multigrid cycle parameters: a symmetric V(1,1) cycle with damped-Jacobi
+// smoothing — equal pre/post smoothing and R = P^T keep the
+// preconditioner SPD for SPD operators, which CG requires.
+const (
+	mgSweeps    = 1   // damped-Jacobi sweeps before, and again after, the coarse correction
+	mgOmega     = 0.8 // Jacobi damping factor
+	mgCoarsestN = 64  // coarsening stops at this many unknowns; dense LU solves that level
+	mgMaxLevels = 16  // bound on the hierarchy depth
+)
 
 // mgLevel is one rung of the hierarchy. p maps the next-coarser level's
 // correction up to this level; r (= p^T) maps this level's residual
@@ -104,23 +69,17 @@ type mgLevel struct {
 	res     []float64
 }
 
-// Multigrid is a V-cycle preconditioner over a fixed operator: geometric
-// (NewGMG, structured grids) or aggregation-based algebraic (NewAMG, any
-// CSR). Setup builds the full hierarchy — prolongations, Galerkin coarse
-// operators A_c = P^T A P, inverse diagonals and a dense LU of the
-// coarsest level — once; Apply then runs allocation-free V-cycles, so a
-// Multigrid cached per operator (thermal session, PDN grid) costs setup
-// exactly once. Apply is not safe for concurrent use; SparseSolver
+// Multigrid is a geometric V-cycle preconditioner over a fixed operator
+// discretized on a structured grid (NewGMG). Setup builds the full
+// hierarchy — prolongations, Galerkin coarse operators A_c = P^T A P,
+// inverse diagonals and a dense LU of the coarsest level — once; Apply
+// then runs allocation-free V-cycles, so a Multigrid cached per operator
+// (PDN grid, potential field) costs setup exactly once. Apply is not safe for concurrent use; SparseSolver
 // serializes solves, which covers the intended use.
 type Multigrid struct {
 	levels []*mgLevel
 	coarse *LU
-	opt    MGOptions
-	kind   string
 }
-
-// Kind reports "gmg" or "amg".
-func (m *Multigrid) Kind() string { return m.kind }
 
 // Levels reports the hierarchy depth, including the coarsest level.
 func (m *Multigrid) Levels() int { return len(m.levels) }
@@ -128,20 +87,19 @@ func (m *Multigrid) Levels() int { return len(m.levels) }
 // NewGMG builds a geometric multigrid hierarchy for a matrix discretized
 // on the given structured grid: cell-centered bilinear (trilinear in 3D)
 // prolongation, full-weighting restriction R = P^T, and Galerkin coarse
-// operators, re-coarsening by 2 per axis until CoarsestN.
-func NewGMG(a *CSR, shape GridShape, opt MGOptions) (*Multigrid, error) {
+// operators, re-coarsening by 2 per axis until mgCoarsestN.
+func NewGMG(a *CSR, shape GridShape) (*Multigrid, error) {
 	if a.Rows != a.Cols {
 		return nil, ErrShape
 	}
-	if shape.NX <= 0 || shape.NY <= 0 || shape.Cells() != a.Rows {
+	if !shape.covers(a.Rows) {
 		return nil, fmt.Errorf("num: grid shape %dx%dx%d does not cover %d unknowns",
 			shape.NX, shape.NY, shape.nz(), a.Rows)
 	}
-	opt = opt.withDefaults()
-	m := &Multigrid{opt: opt, kind: "gmg"}
+	m := &Multigrid{}
 	cur := a
 	curShape := shape
-	for len(m.levels) < opt.MaxLevels-1 && cur.Rows > opt.CoarsestN {
+	for len(m.levels) < mgMaxLevels-1 && cur.Rows > mgCoarsestN {
 		next := curShape.coarsen()
 		if next.Cells() >= cur.Rows {
 			break // coarsening stalled (grid already 1x1x1-ish)
@@ -157,36 +115,6 @@ func NewGMG(a *CSR, shape GridShape, opt MGOptions) (*Multigrid, error) {
 		return nil, err
 	}
 	mgSetupsGMG.Inc()
-	mgLevelsBuilt.Add(uint64(len(m.levels)))
-	return m, nil
-}
-
-// NewAMG builds an aggregation-based algebraic multigrid hierarchy from
-// the matrix alone: strength-filtered greedy aggregation, Jacobi-smoothed
-// piecewise-constant prolongation and Galerkin coarse operators. It is
-// the fallback for operators without grid structure (irregular PDN
-// stamps, mixed solid/fluid thermal networks).
-func NewAMG(a *CSR, opt MGOptions) (*Multigrid, error) {
-	if a.Rows != a.Cols {
-		return nil, ErrShape
-	}
-	opt = opt.withDefaults()
-	m := &Multigrid{opt: opt, kind: "amg"}
-	cur := a
-	for len(m.levels) < opt.MaxLevels-1 && cur.Rows > opt.CoarsestN {
-		p, ok := aggregationProlongation(cur, opt.Theta, opt.Omega)
-		if !ok {
-			break // aggregation stalled; solve what we have
-		}
-		if err := m.pushLevel(cur, p); err != nil {
-			return nil, err
-		}
-		cur = MatMul(m.levels[len(m.levels)-1].r, MatMul(cur, p))
-	}
-	if err := m.finish(cur); err != nil {
-		return nil, err
-	}
-	mgSetupsAMG.Inc()
 	mgLevelsBuilt.Add(uint64(len(m.levels)))
 	return m, nil
 }
@@ -240,18 +168,15 @@ func invDiagOf(a *CSR) ([]float64, error) {
 	return inv, nil
 }
 
-// Apply runs the configured number of V-cycles on A z = r from a zero
-// initial guess. It is allocation-free: every buffer was sized at
-// setup.
+// Apply runs one V-cycle on A z = r from a zero initial guess. It is
+// allocation-free: every buffer was sized at setup.
 func (m *Multigrid) Apply(r, z []float64) {
 	f := m.levels[0]
 	copy(f.b, r)
 	Fill(f.x, 0)
-	for c := 0; c < m.opt.Cycles; c++ {
-		m.vcycle(0)
-	}
+	m.vcycle(0)
 	copy(z, f.x)
-	mgCycles.Add(uint64(m.opt.Cycles))
+	mgCycles.Inc()
 }
 
 func (m *Multigrid) vcycle(l int) {
@@ -263,11 +188,11 @@ func (m *Multigrid) vcycle(l int) {
 			_ = m.coarse.SolveInto(lev.x, lev.b)
 		} else {
 			mgCoarseHeavySmooths.Inc()
-			m.jacobiSmooth(lev, 4*(m.opt.PreSmooth+m.opt.PostSmooth))
+			jacobiSmooth(lev, 8*mgSweeps)
 		}
 		return
 	}
-	m.jacobiSmooth(lev, m.opt.PreSmooth)
+	jacobiSmooth(lev, mgSweeps)
 	lev.a.MulVec(lev.x, lev.res)
 	for i := range lev.res {
 		lev.res[i] = lev.b[i] - lev.res[i]
@@ -278,18 +203,17 @@ func (m *Multigrid) vcycle(l int) {
 	m.vcycle(l + 1)
 	lev.p.MulVec(next.x, lev.res)
 	Axpy(1, lev.res, lev.x)
-	m.jacobiSmooth(lev, m.opt.PostSmooth)
+	jacobiSmooth(lev, mgSweeps)
 }
 
 // jacobiSmooth runs damped-Jacobi sweeps x += omega * D^{-1} (b - A x).
 // The SpMV rides the kernel pool; the pointwise update is cheap enough
 // serial.
-func (m *Multigrid) jacobiSmooth(lev *mgLevel, sweeps int) {
+func jacobiSmooth(lev *mgLevel, sweeps int) {
 	for s := 0; s < sweeps; s++ {
 		lev.a.MulVec(lev.x, lev.res)
-		om := m.opt.Omega
 		for i, d := range lev.invDiag {
-			lev.x[i] += om * d * (lev.b[i] - lev.res[i])
+			lev.x[i] += mgOmega * d * (lev.b[i] - lev.res[i])
 		}
 	}
 }
@@ -352,112 +276,4 @@ func axisWeights(n, nc int) [][]axisEntry {
 		}
 	}
 	return out
-}
-
-// aggregationProlongation builds the smoothed-aggregation prolongation
-// for one AMG coarsening step. Returns ok=false when aggregation cannot
-// shrink the problem (no strong connections left).
-func aggregationProlongation(a *CSR, theta, omega float64) (*CSR, bool) {
-	agg, nAgg := aggregate(a, theta)
-	if nAgg <= 0 || nAgg >= a.Rows {
-		return nil, false
-	}
-	// Tentative piecewise-constant prolongation.
-	co := NewCOO(a.Rows, nAgg)
-	for i, g := range agg {
-		co.Add(i, g, 1)
-	}
-	pt := co.ToCSR()
-	// One damped-Jacobi smoothing pass: P = (I - omega D^{-1} A) P_t.
-	// Smoothing spreads each aggregate's footprint over its neighbours,
-	// which restores near-optimal convergence on diffusion operators.
-	d := a.Diag()
-	jac := &CSR{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		RowPtr: a.RowPtr,
-		ColIdx: a.ColIdx,
-		Val:    make([]float64, a.NNZ()),
-	}
-	for i := 0; i < a.Rows; i++ {
-		di := d[i]
-		if di == 0 {
-			di = 1
-		}
-		s := omega / di
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			jac.Val[k] = -s * a.Val[k]
-			if a.ColIdx[k] == i {
-				jac.Val[k] += 1
-			}
-		}
-	}
-	return MatMul(jac, pt), true
-}
-
-// aggregate greedily groups nodes over strong connections
-// (|a_ij| >= theta * sqrt(|a_ii a_jj|)): a first pass seeds aggregates
-// from still-free nodes and their free strong neighbours, a second pass
-// attaches leftovers to their strongest aggregated neighbour (or makes
-// them singletons). Returns the aggregate id per node and the count.
-func aggregate(a *CSR, theta float64) ([]int, int) {
-	n := a.Rows
-	d := a.Diag()
-	agg := make([]int, n)
-	for i := range agg {
-		agg[i] = -1
-	}
-	strong := func(i, k int) bool {
-		j := a.ColIdx[k]
-		if j == i {
-			return false
-		}
-		v := math.Abs(a.Val[k])
-		return v*v >= theta*theta*math.Abs(d[i]*d[j])
-	}
-	nAgg := 0
-	for i := 0; i < n; i++ {
-		if agg[i] != -1 {
-			continue
-		}
-		free := true
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if strong(i, k) && agg[a.ColIdx[k]] != -1 {
-				free = false
-				break
-			}
-		}
-		if !free {
-			continue
-		}
-		agg[i] = nAgg
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if strong(i, k) {
-				agg[a.ColIdx[k]] = nAgg
-			}
-		}
-		nAgg++
-	}
-	for i := 0; i < n; i++ {
-		if agg[i] != -1 {
-			continue
-		}
-		best, bestV := -1, 0.0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			if j == i || agg[j] == -1 {
-				continue
-			}
-			if v := math.Abs(a.Val[k]); v > bestV {
-				best, bestV = agg[j], v
-			}
-		}
-		if best >= 0 {
-			agg[i] = best
-		} else {
-			agg[i] = nAgg
-			nAgg++
-		}
-	}
-	return agg, nAgg
 }

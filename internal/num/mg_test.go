@@ -106,12 +106,12 @@ func TestCSRMatMul(t *testing.T) {
 func TestGMGBeatsJacobi(t *testing.T) {
 	const n = 128
 	a := laplacian2D(n)
-	mg, err := NewGMG(a, GridShape{NX: n, NY: n}, MGOptions{})
+	mg, err := NewGMG(a, GridShape{NX: n, NY: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mg.Kind() != "gmg" || mg.Levels() < 3 {
-		t.Fatalf("kind=%q levels=%d, want gmg with >=3 levels", mg.Kind(), mg.Levels())
+	if mg.Levels() < 3 {
+		t.Fatalf("levels=%d, want >=3", mg.Levels())
 	}
 	rng := rand.New(rand.NewSource(5))
 	b := make([]float64, a.Rows)
@@ -143,7 +143,7 @@ func TestGMGBeatsJacobi(t *testing.T) {
 
 func TestGMG3D(t *testing.T) {
 	a := laplacian3D(24, 20, 8)
-	mg, err := NewGMG(a, GridShape{NX: 24, NY: 20, NZ: 8}, MGOptions{})
+	mg, err := NewGMG(a, GridShape{NX: 24, NY: 20, NZ: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,41 +173,8 @@ func TestGMG3D(t *testing.T) {
 // rejected at setup, not fail mysteriously later.
 func TestGMGShapeMismatch(t *testing.T) {
 	a := laplacian2D(16)
-	if _, err := NewGMG(a, GridShape{NX: 16, NY: 17}, MGOptions{}); err == nil {
+	if _, err := NewGMG(a, GridShape{NX: 16, NY: 17}); err == nil {
 		t.Fatal("mismatched shape accepted")
-	}
-}
-
-func TestAMGConvergence(t *testing.T) {
-	const n = 64
-	a := laplacian2D(n)
-	mg, err := NewAMG(a, MGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mg.Kind() != "amg" || mg.Levels() < 2 {
-		t.Fatalf("kind=%q levels=%d, want amg with >=2 levels", mg.Kind(), mg.Levels())
-	}
-	rng := rand.New(rand.NewSource(7))
-	b := make([]float64, a.Rows)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := make([]float64, a.Rows)
-	res, err := CG(a, b, x, IterOptions{Tol: 1e-9, M: mg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rn := residualNorm(a, b, x); rn > 1e-8 {
-		t.Fatalf("residual %g after %d iters", rn, res.Iterations)
-	}
-	Fill(x, 0)
-	jac, err := CG(a, b, x, IterOptions{Tol: 1e-9, M: NewJacobi(a)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if 2*res.Iterations > jac.Iterations {
-		t.Fatalf("AMG-CG took %d iterations vs Jacobi %d, want >=2x fewer", res.Iterations, jac.Iterations)
 	}
 }
 
@@ -217,11 +184,7 @@ func TestMGApplyZeroAlloc(t *testing.T) {
 	setKernelThreads(1)
 	t.Cleanup(func() { setKernelThreads(0) })
 	a := laplacian2D(32)
-	gmg, err := NewGMG(a, GridShape{NX: 32, NY: 32}, MGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	amg, err := NewAMG(a, MGOptions{})
+	mg, err := NewGMG(a, GridShape{NX: 32, NY: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,29 +193,23 @@ func TestMGApplyZeroAlloc(t *testing.T) {
 	for i := range r {
 		r[i] = float64(i%13) - 6
 	}
-	for _, tc := range []struct {
-		name string
-		mg   *Multigrid
-	}{{"gmg", gmg}, {"amg", amg}} {
-		tc.mg.Apply(r, z) // warm any lazy paths before counting
-		allocs := testing.AllocsPerRun(20, func() { tc.mg.Apply(r, z) })
-		if allocs != 0 {
-			t.Fatalf("%s Apply allocates %.1f per cycle, want 0", tc.name, allocs)
-		}
+	mg.Apply(r, z) // warm any lazy paths before counting
+	if allocs := testing.AllocsPerRun(20, func() { mg.Apply(r, z) }); allocs != 0 {
+		t.Fatalf("Apply allocates %.1f per cycle, want 0", allocs)
 	}
 }
 
-// TestPrecondPolicy pins the preconditioner heuristic: multigrid only
-// for symmetric systems at or above MGAutoThreshold — geometric when
-// the Shape covers the matrix, aggregation AMG otherwise — Jacobi
-// everywhere else, and an explicit IterOptions.M always wins.
+// TestPrecondPolicy pins the preconditioner heuristic: geometric
+// multigrid only for symmetric systems at or above MGAutoThreshold whose
+// Shape covers the matrix, Jacobi everywhere else, and an explicit
+// IterOptions.M always wins.
 func TestPrecondPolicy(t *testing.T) {
 	small := laplacian2D(16) // 256 unknowns < MGAutoThreshold
 	large := laplacian2D(64) // 4096 unknowns == MGAutoThreshold
 	kind := func(p Preconditioner) string {
-		switch p := p.(type) {
+		switch p.(type) {
 		case *Multigrid:
-			return p.Kind()
+			return "gmg"
 		case *JacobiPreconditioner:
 			return "jacobi"
 		}
@@ -267,9 +224,9 @@ func TestPrecondPolicy(t *testing.T) {
 	}{
 		{"small symmetric", small, true, IterOptions{}, "jacobi"},
 		{"small symmetric with shape", small, true, IterOptions{Shape: &GridShape{NX: 16, NY: 16}}, "jacobi"},
-		{"large symmetric", large, true, IterOptions{}, "amg"},
+		{"large symmetric", large, true, IterOptions{}, "jacobi"},
 		{"large symmetric with shape", large, true, IterOptions{Shape: &GridShape{NX: 64, NY: 64}}, "gmg"},
-		{"large symmetric with mismatched shape", large, true, IterOptions{Shape: &GridShape{NX: 32, NY: 32}}, "amg"},
+		{"large symmetric with mismatched shape", large, true, IterOptions{Shape: &GridShape{NX: 32, NY: 32}}, "jacobi"},
 		{"large nonsymmetric", large, false, IterOptions{Shape: &GridShape{NX: 64, NY: 64}}, "jacobi"},
 		{"explicit M", large, true, IterOptions{M: IdentityPreconditioner{}}, "other"},
 	} {
@@ -333,7 +290,7 @@ func TestMaxIterDefaultCap(t *testing.T) {
 func TestMGTelemetry(t *testing.T) {
 	s0, c0, l0 := mgSetupsGMG.Value(), mgCycles.Value(), mgLevelsBuilt.Value()
 	a := laplacian2D(32)
-	mg, err := NewGMG(a, GridShape{NX: 32, NY: 32}, MGOptions{})
+	mg, err := NewGMG(a, GridShape{NX: 32, NY: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,34 +3,26 @@ package num
 import "bright/internal/obs"
 
 // MGAutoThreshold is the unknown count at and above which SparseSolver
-// preconditions symmetric systems with multigrid instead of Jacobi.
+// preconditions symmetric grid systems with multigrid instead of Jacobi.
 // Below it, Jacobi solves finish before MG setup would pay for itself.
 const MGAutoThreshold = 4096
 
 var mgSetupFallbacks = obs.Default.Counter("bright_mg_setup_fallbacks_total",
 	"Multigrid setups that failed and fell back to Jacobi.")
 
-// buildPrecond picks the preconditioner for a: multigrid for symmetric
-// systems of at least MGAutoThreshold unknowns, Jacobi otherwise.
-// Multigrid setup failure degrades to Jacobi rather than failing the
-// solver build: the result is always usable, just possibly slower.
-func buildPrecond(a *CSR, symmetric bool, opt IterOptions) Preconditioner {
-	if symmetric && a.Rows >= MGAutoThreshold {
-		if m, err := newMGFor(a, opt); err == nil {
+// buildPrecond picks the preconditioner for a: geometric multigrid for
+// symmetric systems of at least MGAutoThreshold unknowns whose Shape
+// covers the matrix, Jacobi otherwise. Multigrid setup failure degrades
+// to Jacobi rather than failing the solver build: the result is always
+// usable, just possibly slower.
+func buildPrecond(a *CSR, symmetric bool, shape *GridShape) Preconditioner {
+	if symmetric && a.Rows >= MGAutoThreshold && shape != nil && shape.covers(a.Rows) {
+		if m, err := NewGMG(a, *shape); err == nil {
 			return m
 		}
 		mgSetupFallbacks.Inc()
 	}
 	return NewJacobi(a)
-}
-
-// newMGFor builds geometric multigrid when the options carry a matching
-// grid shape, aggregation AMG otherwise.
-func newMGFor(a *CSR, opt IterOptions) (*Multigrid, error) {
-	if opt.Shape != nil && opt.Shape.NX > 0 && opt.Shape.NY > 0 && opt.Shape.Cells() == a.Rows {
-		return NewGMG(a, *opt.Shape, opt.MG)
-	}
-	return NewAMG(a, opt.MG)
 }
 
 // Format-heuristic thresholds. Variables so tests can exercise both

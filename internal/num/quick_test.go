@@ -146,48 +146,3 @@ func TestQuickTridiagMatchesDense(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestQuickLinearInterpolatesBetweenNeighbors: interpolated values lie
-// within the bracketing sample values.
-func TestQuickLinearInterpolatesBetweenNeighbors(t *testing.T) {
-	f := func(ys [6]int8, tRaw uint16) bool {
-		xs := []float64{0, 1, 2, 3, 4, 5}
-		yv := make([]float64, 6)
-		for i, v := range ys {
-			yv[i] = float64(v)
-		}
-		l, err := NewLinear(xs, yv)
-		if err != nil {
-			return false
-		}
-		x := float64(tRaw) / 65535 * 5
-		i := int(x)
-		if i > 4 {
-			i = 4
-		}
-		v := l.Eval(x)
-		lo := math.Min(yv[i], yv[i+1])
-		hi := math.Max(yv[i], yv[i+1])
-		return v >= lo-1e-9 && v <= hi+1e-9
-	}
-	if err := quick.Check(f, quickConfig(5, 300)); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickGaussMatchesSimpson on random cubics over random intervals.
-func TestQuickGaussMatchesSimpson(t *testing.T) {
-	f := func(c0, c1, c2, c3 int8, wRaw uint8) bool {
-		fn := func(x float64) float64 {
-			return float64(c0) + float64(c1)*x + float64(c2)*x*x + float64(c3)*x*x*x
-		}
-		a := -1.0
-		b := a + 0.1 + float64(wRaw)/64
-		g := GaussLegendre(fn, a, b, 3)
-		s := CompositeSimpson(fn, a, b, 64)
-		return math.Abs(g-s) <= 1e-6*(1+math.Abs(g))
-	}
-	if err := quick.Check(f, quickConfig(6, 300)); err != nil {
-		t.Error(err)
-	}
-}

@@ -35,7 +35,7 @@ var (
 
 // SparseSolver binds an iterative method to one matrix and caches
 // everything that only depends on its sparsity pattern and values: the
-// symmetry decision (CG vs BiCGSTAB), the Jacobi preconditioner, and
+// caller's symmetry assertion (CG vs BiCGSTAB), the preconditioner, and
 // the Krylov scratch workspace. Repeated solves against the same matrix
 // — the co-simulation fixed-point loop, transient time stepping,
 // parameter sweeps — pay none of that per call, and the steady-state
@@ -57,27 +57,20 @@ type SparseSolver struct {
 	bws BlockWorkspace
 }
 
-// NewSparseSolver builds a solver for a, detecting symmetry once
-// (numerically, to 1e-12). opt.M overrides the built-in preconditioner
-// choice (see buildPrecond) when non-nil.
-func NewSparseSolver(a *CSR, opt IterOptions) *SparseSolver {
-	return NewSparseSolverSymmetric(a, a.IsSymmetric(1e-12), opt)
-}
-
-// NewSparseSolverSymmetric is NewSparseSolver with the symmetry
-// decision asserted by the caller, skipping the O(nnz * row-nnz) scan —
-// use it when the assembly guarantees the answer (FV diffusion stamps
-// are symmetric; advection-coupled networks are not). Asserting
-// symmetric=true on a matrix that only CG cannot handle is still safe:
-// a CG breakdown falls back to BiCGSTAB on the same cached
-// preconditioner.
+// NewSparseSolverSymmetric builds a solver for a with the symmetry
+// decision asserted by the caller, who knows it from the assembly (FV
+// diffusion stamps are symmetric; advection-coupled networks are not).
+// Asserting symmetric=true on a matrix that only CG cannot handle is
+// still safe: a CG breakdown falls back to BiCGSTAB on the same cached
+// preconditioner. opt.M overrides the built-in preconditioner choice
+// (see buildPrecond) when non-nil.
 func NewSparseSolverSymmetric(a *CSR, symmetric bool, opt IterOptions) *SparseSolver {
 	a.EnsureFormat()
 	s := &SparseSolver{a: a, sym: symmetric, opt: opt}
 	if opt.M != nil {
 		s.pre = opt.M
 	} else {
-		s.pre = buildPrecond(a, symmetric, opt)
+		s.pre = buildPrecond(a, symmetric, opt.Shape)
 	}
 	return s
 }
@@ -172,14 +165,17 @@ func (s *SparseSolver) Solve(b, x []float64) (IterResult, error) {
 	return res, err
 }
 
-// SolveBlock solves the k systems A x_j = b_j together. b and x hold
-// the right-hand sides and initial guesses column-major (column j at
-// [j*n : (j+1)*n]; see MulVecBlock); x is overwritten with the
-// solutions. Symmetric systems run the batched block CG — one matrix
-// traversal per iteration serves every still-unconverged column, which
-// is the sweep-chain amortization. Nonsymmetric systems degrade to
-// sequential per-column BiCGSTAB through the same cached
-// preconditioner, so the call is always valid.
+// errBlockNonsymmetric is SolveBlock's answer on a nonsymmetric solver:
+// block CG needs a symmetric operator.
+var errBlockNonsymmetric = errors.New("num: SolveBlock needs a symmetric solver")
+
+// SolveBlock solves the k systems A x_j = b_j together with the
+// batched block CG: one matrix traversal per iteration serves every
+// still-unconverged column, which is the sweep-chain amortization. b
+// and x hold the right-hand sides and initial guesses column-major
+// (column j at [j*n : (j+1)*n]; see MulVecBlock); x is overwritten
+// with the solutions. It needs a solver built as symmetric and returns
+// errBlockNonsymmetric otherwise.
 func (s *SparseSolver) SolveBlock(b, x []float64, k int) (BlockResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -187,40 +183,19 @@ func (s *SparseSolver) SolveBlock(b, x []float64, k int) (BlockResult, error) {
 	if k <= 0 || len(b) != n*k || len(x) != n*k {
 		return BlockResult{}, ErrShape
 	}
+	if !s.sym {
+		return BlockResult{}, errBlockNonsymmetric
+	}
 	opt := s.opt
 	opt.M = s.pre
-	if s.sym {
-		out, err := BlockCG(s.a, b, x, k, opt, &s.bws)
-		cgSolves.Inc()
-		cgIterations.Add(uint64(out.Iterations))
-		if err != nil {
-			if errors.Is(err, ErrMaxIter) {
-				maxIterExhausted.Inc()
-			}
-			solveFailures.Inc()
-		}
-		return out, err
-	}
-	s.bws.size(n, k)
-	out := BlockResult{PerRHS: s.bws.perRHS}
-	var firstErr error
-	for j := 0; j < k; j++ {
-		res, err := BiCGSTABWith(s.a, b[j*n:(j+1)*n], x[j*n:(j+1)*n], opt, &s.ws)
-		bicgSolves.Inc()
-		bicgIterations.Add(uint64(res.Iterations))
-		out.PerRHS[j] = res
-		if res.Iterations > out.Iterations {
-			out.Iterations = res.Iterations
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		if errors.Is(firstErr, ErrMaxIter) {
+	out, err := BlockCG(s.a, b, x, k, opt, &s.bws)
+	cgSolves.Inc()
+	cgIterations.Add(uint64(out.Iterations))
+	if err != nil {
+		if errors.Is(err, ErrMaxIter) {
 			maxIterExhausted.Inc()
 		}
 		solveFailures.Inc()
 	}
-	return out, firstErr
+	return out, err
 }

@@ -19,10 +19,7 @@ func residualNorm(a *CSR, b, x []float64) float64 {
 func TestSparseSolverSymmetricCG(t *testing.T) {
 	a := laplacian2D(24)
 	n := a.Rows
-	s := NewSparseSolver(a, IterOptions{Tol: 1e-11})
-	if !s.Symmetric() {
-		t.Fatal("laplacian not detected symmetric")
-	}
+	s := NewSparseSolverSymmetric(a, true, IterOptions{Tol: 1e-11})
 	rng := rand.New(rand.NewSource(3))
 	b := make([]float64, n)
 	for i := range b {
@@ -56,10 +53,7 @@ func TestSparseSolverFallback(t *testing.T) {
 	c.Add(0, 0, 1)
 	c.Add(1, 1, -1)
 	a := c.ToCSR()
-	s := NewSparseSolver(a, IterOptions{Tol: 1e-12})
-	if !s.Symmetric() {
-		t.Fatal("diagonal matrix not detected symmetric")
-	}
+	s := NewSparseSolverSymmetric(a, true, IterOptions{Tol: 1e-12})
 	b := []float64{1, 1}
 	x := make([]float64, 2)
 	if _, err := s.Solve(b, x); err != nil {
@@ -69,16 +63,6 @@ func TestSparseSolverFallback(t *testing.T) {
 	for i := range x {
 		if math.Abs(x[i]-want[i]) > 1e-9 {
 			t.Fatalf("x = %v, want %v", x, want)
-		}
-	}
-	// SolveSparse routes through the same path.
-	x2, _, err := SolveSparse(a, b, IterOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatalf("SolveSparse fallback failed: %v", err)
-	}
-	for i := range x2 {
-		if math.Abs(x2[i]-want[i]) > 1e-9 {
-			t.Fatalf("SolveSparse x = %v, want %v", x2, want)
 		}
 	}
 }
@@ -96,10 +80,7 @@ func TestSparseSolverNonsymmetric(t *testing.T) {
 		}
 	}
 	a := c.ToCSR()
-	s := NewSparseSolver(a, IterOptions{Tol: 1e-11})
-	if s.Symmetric() {
-		t.Fatal("convection matrix detected symmetric")
-	}
+	s := NewSparseSolverSymmetric(a, false, IterOptions{Tol: 1e-11})
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = 1
@@ -120,7 +101,7 @@ func TestSparseSolverNonsymmetric(t *testing.T) {
 func TestSparseSolverConcurrent(t *testing.T) {
 	a := laplacian2D(16)
 	n := a.Rows
-	s := NewSparseSolver(a, IterOptions{Tol: 1e-11})
+	s := NewSparseSolverSymmetric(a, true, IterOptions{Tol: 1e-11})
 	const goroutines = 8
 	const solvesEach = 10
 	var wg sync.WaitGroup
@@ -170,7 +151,7 @@ func TestKrylovWorkspaceZeroAlloc(t *testing.T) {
 	}
 	x := make([]float64, n)
 	opt := IterOptions{Tol: 1e-10, M: NewJacobi(a)}
-	ws := NewWorkspace(n)
+	ws := &Workspace{}
 	if _, err := CGWith(a, b, x, opt, ws); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +177,7 @@ func TestKrylovWorkspaceZeroAlloc(t *testing.T) {
 
 	// Same contract with a multigrid preconditioner: hierarchy setup may
 	// allocate, the steady-state MG-preconditioned solve loop must not.
-	mg, err := NewGMG(a, GridShape{NX: 24, NY: 24}, MGOptions{})
+	mg, err := NewGMG(a, GridShape{NX: 24, NY: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +270,7 @@ func TestSparseSolverTelemetry(t *testing.T) {
 	}
 	cgS, cgIt, biS, _, fb := delta(func() {
 		x := make([]float64, a.Rows)
-		if _, err := NewSparseSolver(a, IterOptions{Tol: 1e-10}).Solve(b, x); err != nil {
+		if _, err := NewSparseSolverSymmetric(a, true, IterOptions{Tol: 1e-10}).Solve(b, x); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -305,7 +286,7 @@ func TestSparseSolverTelemetry(t *testing.T) {
 	ind := c.ToCSR()
 	cgS, _, biS, biIt, fb := delta(func() {
 		x := make([]float64, 2)
-		if _, err := NewSparseSolver(ind, IterOptions{Tol: 1e-12}).Solve([]float64{1, 1}, x); err != nil {
+		if _, err := NewSparseSolverSymmetric(ind, true, IterOptions{Tol: 1e-12}).Solve([]float64{1, 1}, x); err != nil {
 			t.Fatal(err)
 		}
 	})

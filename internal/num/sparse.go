@@ -140,22 +140,3 @@ func (m *CSR) At(i, j int) float64 {
 	}
 	return 0
 }
-
-// IsSymmetric reports whether the matrix is numerically symmetric to
-// within tol on every stored entry. Intended for solver-precondition
-// checks in tests.
-func (m *CSR) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := m.ColIdx[k]
-			d := m.Val[k] - m.At(j, i)
-			if d > tol || d < -tol {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -80,25 +80,6 @@ func TestCSRDiag(t *testing.T) {
 	}
 }
 
-func TestCSRIsSymmetric(t *testing.T) {
-	c := NewCOO(2, 2)
-	c.Add(0, 1, 3)
-	c.Add(1, 0, 3)
-	c.Add(0, 0, 1)
-	if !c.ToCSR().IsSymmetric(1e-14) {
-		t.Fatal("symmetric matrix reported asymmetric")
-	}
-	c2 := NewCOO(2, 2)
-	c2.Add(0, 1, 3)
-	if c2.ToCSR().IsSymmetric(1e-14) {
-		t.Fatal("asymmetric matrix reported symmetric")
-	}
-	rect := NewCOO(2, 3).ToCSR()
-	if rect.IsSymmetric(1e-14) {
-		t.Fatal("rectangular matrix cannot be symmetric")
-	}
-}
-
 func TestCOOOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -151,10 +151,10 @@ func Solve(p *Problem) (*Solution, error) {
 	if !p.Warm.Seed(x) {
 		num.Fill(x, 0.5)
 	}
-	// The FV diffusion stamps are symmetric by construction: CG, no
-	// scan. The grid shape lets the preconditioner policy build
-	// geometric multigrid at high resolutions (the default 48x48 stays
-	// below the auto threshold and runs Jacobi).
+	// The FV diffusion stamps are symmetric by construction: CG. The
+	// grid shape lets the preconditioner policy build geometric
+	// multigrid at high resolutions (the default 48x48 stays below the
+	// auto threshold and runs Jacobi).
 	solver := num.NewSparseSolverSymmetric(a, true,
 		num.IterOptions{Tol: 1e-11, Shape: &num.GridShape{NX: nx, NY: ny}})
 	if _, err := solver.Solve(b, x); err != nil {

@@ -71,22 +71,19 @@ type Options struct {
 	SweepSegment int
 	// Solver overrides the production solver (tests, benchmarks).
 	Solver Solver
-	// BatchSolver builds a fresh stateful solver for one sweep chain — a
+	// BatchChain builds a fresh stateful solver for one sweep chain — a
 	// run of grid-adjacent points sharing the hydrodynamic condition,
 	// executed sequentially so each point warm-starts from its
-	// neighbor's converged state. The default wraps core.NewBatch (one
-	// thermal session per condition, one PDN session per chain); when
-	// Solver is overridden and BatchSolver is not, chains reuse the
-	// overridden Solver (stateless, no warm carry).
-	BatchSolver func() Solver
-	// BatchChain, when set, supersedes BatchSolver: it additionally
-	// returns a ChainPrefetch that SubmitSweep hands the chain's full
-	// point list before the sequential walk begins, so the solver can
-	// batch work whose inputs are known upfront (the default
-	// core.NewBatch prefetch block-solves the chain's PDN grid points
-	// in one multi-RHS Krylov run). A nil prefetch is valid. Prefetch
-	// errors are counted and otherwise ignored — every point still
-	// solves correctly, just without the batched head start.
+	// neighbor's converged state — plus a ChainPrefetch that SubmitSweep
+	// hands the chain's full point list before the sequential walk
+	// begins, so the solver can batch work whose inputs are known
+	// upfront. The default wraps core.NewBatch (one thermal session per
+	// condition, one PDN session per chain; its prefetch block-solves
+	// the chain's PDN grid points in one multi-RHS Krylov run). When
+	// Solver is overridden and BatchChain is not, chains reuse the
+	// overridden Solver (stateless, no warm carry). A nil prefetch is
+	// valid. Prefetch errors are counted and otherwise ignored — every
+	// point still solves correctly, just without the batched head start.
 	BatchChain func() (Solver, ChainPrefetch)
 	// Metrics is the registry the engine publishes its serving metrics
 	// into; nil gives the engine a private registry (reachable via
@@ -110,7 +107,7 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Solver == nil {
 		o.Solver = DefaultSolver
-		if o.BatchSolver == nil && o.BatchChain == nil {
+		if o.BatchChain == nil {
 			o.BatchChain = func() (Solver, ChainPrefetch) {
 				b := core.NewBatch()
 				return b.EvaluateContext, b.PrefetchChain
@@ -118,12 +115,8 @@ func (o Options) withDefaults() Options {
 		}
 	}
 	if o.BatchChain == nil {
-		if o.BatchSolver == nil {
-			s := o.Solver
-			o.BatchSolver = func() Solver { return s }
-		}
-		bs := o.BatchSolver
-		o.BatchChain = func() (Solver, ChainPrefetch) { return bs(), nil }
+		s := o.Solver
+		o.BatchChain = func() (Solver, ChainPrefetch) { return s, nil }
 	}
 	return o
 }

@@ -373,7 +373,7 @@ func (s *system) layerMeans(x []float64) []float64 {
 // when sized to the system, seeds the Krylov iteration (warm start);
 // otherwise the solve starts from the uniform inlet temperature. The
 // advection coupling makes the network nonsymmetric, so the solver is
-// pinned to BiCGSTAB without paying a symmetry scan.
+// pinned to BiCGSTAB.
 func solveOnce(p *Problem, layerT, x0 []float64) (*system, []float64, error) {
 	s, err := assemble(p, layerT)
 	if err != nil {
