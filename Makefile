@@ -104,15 +104,17 @@ fuzz:
 # Full benchmark sweep over the numeric kernels, the thermal solver,
 # the serving engine and the streaming-session stepper, folded into a
 # machine-readable report ($(BENCH_OUT)): per-benchmark ns/op, B/op,
-# allocs/op, the paired speedup rows (serial vs parallel kernels,
-# Jacobi vs multigrid preconditioning, sequential vs block multi-RHS CG,
-# CSR vs SELL-C-σ SpMV) and the streaming frames/s rows, stamped with
-# the Go version and core count of the generating machine. The num
-# suite runs -count 3 so the committed speedup rows are medians (see
-# cmd/benchjson), not single samples of a drifting box. BENCH_PR2.json
-# (pre-multigrid), BENCH_PR5.json (pre-streaming), BENCH_PR6.json
-# (pre-mixed-precision) and BENCH_PR7.json (pre-SELL) are frozen
-# baselines; do not overwrite them.
+# allocs/op, the paired speedup rows (Jacobi vs multigrid
+# preconditioning, sequential vs block multi-RHS CG, CSR vs SELL-C-σ
+# SpMV) and the streaming frames/s rows, stamped with the Go version
+# and core count of the generating machine. The kernels are serial, so
+# the num suite has no thread-count pairs (BENCH_PR10.json holds the
+# last /serial vs /parallel rows). The num suite runs -count 3 so the
+# committed speedup rows are medians (see cmd/benchjson), not single
+# samples of a drifting box. BENCH_PR2.json (pre-multigrid),
+# BENCH_PR5.json (pre-streaming), BENCH_PR6.json (pre-mixed-precision)
+# and BENCH_PR7.json (pre-SELL) are frozen baselines; do not overwrite
+# them.
 BENCH_OUT ?= BENCH_PR10.json
 bench:
 	$(GO) test -run xxx -bench . -count 3 -benchmem ./internal/num > /tmp/bench_num.txt
@@ -139,21 +141,19 @@ bench-compare:
 	$(GO) test -run xxx -bench 'BenchmarkCGPoisson|BenchmarkCGStack3D|BenchmarkBlockCG|BenchmarkSpMV' -count 3 -benchmem ./internal/num > /tmp/bench_mg.txt
 	$(GO) run ./cmd/benchjson -min-mg-speedup 1.0 -min-speedup 1.0 -o /dev/null /tmp/bench_mg.txt
 
-# Static allocation guard for the kernel hot paths. In
-# internal/num/parallel.go the only allowed heap escapes are the
-# one-time pool allocations (the parRun descriptor and its partials
-# buffer built in sync.Pool.New); in internal/num/sellcs.go only the
-# SELL-C-σ constructor (NewSELLCS, run once at solver setup) may
-# allocate — the sliced kernel's accumulators must stay on the stack.
-# Anything else — a closure capturing operands, a descriptor escaping
-# per call — would put an allocation on every kernel op and break the
-# zero-allocs/op solve loop, so it fails the gate. The dynamic twin of
-# this guard is TestKrylovWorkspaceZeroAlloc.
+# Static allocation guard for the kernel hot paths. The serial range
+# kernels in internal/num/kernels.go may not allocate at all; in
+# internal/num/sellcs.go only the SELL-C-σ constructor (NewSELLCS, run
+# once at solver setup) may allocate — the sliced kernel's accumulators
+# must stay on the stack. Anything else — a closure capturing operands,
+# a buffer escaping per call — would put an allocation on every kernel
+# op and break the zero-allocs/op solve loop, so it fails the gate. The
+# dynamic twin of this guard is TestKrylovWorkspaceZeroAlloc.
 escape-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/num 2>&1 \
-		| grep -E 'parallel\.go|sellcs\.go' \
+		| grep -E 'kernels\.go|sellcs\.go' \
 		| grep -E 'escapes to heap|moved to heap' \
-		| grep -vE 'new\(parRun\)|make\(\[\]float64, 2\*maxKernelChunks\)|make\(\[\]float64, 128\)|make\(\[\]int32, rows\)|make\(\[\]int, nSlices \+ 1\)|make\(\[\]int32, padded\)|make\(\[\]float64, padded\)|&SELLCS\{\.\.\.\}'); \
+		| grep -vE 'make\(\[\]int32, rows\)|make\(\[\]int, nSlices \+ 1\)|make\(\[\]int32, padded\)|make\(\[\]float64, padded\)|&SELLCS\{\.\.\.\}'); \
 	if [ -n "$$out" ]; then \
 		echo "escape-check: unexpected heap escapes in the kernel hot path:"; \
 		echo "$$out"; exit 1; \

@@ -3,9 +3,9 @@
 // files (or stdin when none are given), parses every benchmark result
 // line, and emits a single JSON document with per-benchmark ns/op,
 // B/op, allocs/op and any custom metrics, plus speedup pairs for
-// benchmarks that expose paired sub-benchmarks: /serial vs /parallel
-// (kernel threading), /jacobi vs /mg (preconditioner), /seq vs /block
-// (multi-RHS CG) and /csr vs /sell (SELL-C-σ SpMV layout).
+// benchmarks that expose paired sub-benchmarks: /jacobi vs /mg
+// (preconditioner), /seq vs /block (multi-RHS CG) and /csr vs /sell
+// (SELL-C-σ SpMV layout).
 //
 // Usage:
 //
@@ -72,8 +72,8 @@ type Benchmark struct {
 }
 
 // Speedup pairs a benchmark's baseline and optimized variants. Kind
-// names the pairing: "parallel" for /serial vs /parallel, "mg" for
-// /jacobi vs /mg.
+// names the pairing: "mg" for /jacobi vs /mg, "blockcg" for /seq vs
+// /block, "sell" for /csr vs /sell.
 type Speedup struct {
 	Name string `json:"name"`
 	Kind string `json:"kind"`
@@ -99,7 +99,6 @@ type FrameRate struct {
 // suffixPairs lists the recognized baseline/variant sub-benchmark
 // suffix conventions.
 var suffixPairs = []struct{ kind, baseline, variant string }{
-	{"parallel", "/serial", "/parallel"},
 	{"mg", "/jacobi", "/mg"},
 	{"blockcg", "/seq", "/block"},
 	{"sell", "/csr", "/sell"},
@@ -117,7 +116,7 @@ type Report struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	// Cores is GOMAXPROCS on the generating machine — read it before
-	// trusting any /parallel number.
+	// comparing timings across reports.
 	Cores      int         `json:"cores"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
@@ -380,7 +379,8 @@ func pairMetric(kind string, base, variant Benchmark) (unit string, bv, vv float
 }
 
 // speedups pairs every recognized baseline/variant sub-benchmark couple
-// (Foo/serial with Foo/parallel, Foo/jacobi with Foo/mg).
+// (Foo/jacobi with Foo/mg, Foo/seq with Foo/block, Foo/csr with
+// Foo/sell).
 func speedups(benches []Benchmark) []Speedup {
 	byName := map[string]Benchmark{}
 	for _, b := range benches {

@@ -35,7 +35,7 @@
 //
 // Usage:
 //
-//	brightd [-addr :8080] [-workers N] [-queue N] [-cache N] [-sweep-segment N]
+//	brightd [-addr :8080] [-workers N] [-queue N] [-cache N]
 //	        [-request-timeout 5m] [-drain-timeout 30s] [-debug-addr :6060]
 //	        [-max-sessions N] [-session-idle-timeout 2m] [-session-ring N]
 //
@@ -64,12 +64,6 @@
 // -debug-addr starts an opt-in debug listener serving net/http/pprof
 // under /debug/pprof/ — kept off the public address so profiling
 // endpoints are never exposed to clients by accident.
-//
-// -sweep-segment bounds how many grid points one stealable sweep
-// segment carries (0 = default, negative disables chain splitting and
-// restores the whole-chain walk). Smaller segments spread a skewed
-// sweep across more workers at the cost of more cold warm-start
-// restarts; the default suits the paper's sweep shapes.
 package main
 
 import (
@@ -101,8 +95,6 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown drain budget")
 		debugAddr    = flag.String("debug-addr", "",
 			"opt-in debug listener serving /debug/pprof/ (empty = disabled)")
-		sweepSegment = flag.Int("sweep-segment", 0,
-			"max grid points per stealable sweep segment (0 = default, negative disables chain splitting)")
 		maxSessions = flag.Int("max-sessions", 8,
 			"streaming session cap; admissions past it answer 429")
 		sessionIdle = flag.Duration("session-idle-timeout", 2*time.Minute,
@@ -160,10 +152,9 @@ func main() {
 	}
 
 	engine := sim.New(sim.Options{
-		Workers:      *workers,
-		QueueDepth:   *queueDepth,
-		CacheSize:    *cacheSize,
-		SweepSegment: *sweepSegment,
+		Workers:    *workers,
+		QueueDepth: *queueDepth,
+		CacheSize:  *cacheSize,
 	})
 	sessions := stream.NewManager(stream.Options{
 		MaxSessions: *maxSessions,

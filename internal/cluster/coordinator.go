@@ -601,6 +601,12 @@ func (c *Coordinator) Run(ctx context.Context) {
 	}
 }
 
+// healthProbeTimeout bounds one liveness probe. It is its own budget,
+// not HealthInterval: a loaded but live shard may answer /healthz more
+// slowly than the probe pacing, and must not be marked dead for it. 2 s
+// is brightd's default interval, so default deployments see no change.
+const healthProbeTimeout = 2 * time.Second
+
 // healthPass probes every backend once. A backend goes dead after
 // HealthFailures consecutive failed probes; it rejoins on the first
 // successful probe, receiving its last-known cache snapshot *before*
@@ -608,7 +614,7 @@ func (c *Coordinator) Run(ctx context.Context) {
 // cache.
 func (c *Coordinator) healthPass(ctx context.Context, fails map[string]int) {
 	for _, addr := range c.ring.backends() {
-		probeCtx, cancel := context.WithTimeout(ctx, c.opts.HealthInterval)
+		probeCtx, cancel := context.WithTimeout(ctx, healthProbeTimeout)
 		err := c.clients[addr].health(probeCtx)
 		cancel()
 		if err != nil {

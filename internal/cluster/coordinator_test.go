@@ -95,6 +95,9 @@ type testBackend struct {
 	// snapGetDelay (ns) stalls GET /v1/cache/snapshot, as a loaded
 	// backend serializing a large cache does.
 	snapGetDelay atomic.Int64
+	// healthDelay (ns) stalls GET /healthz, as a loaded but live backend
+	// does.
+	healthDelay atomic.Int64
 }
 
 func newTestBackend(t *testing.T, solver *fakeSolver) *testBackend {
@@ -112,6 +115,9 @@ func newTestBackend(t *testing.T, solver *fakeSolver) *testBackend {
 	b.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && r.URL.Path == "/v1/cache/snapshot" {
 			time.Sleep(time.Duration(b.snapGetDelay.Load()))
+		}
+		if r.Method == http.MethodGet && r.URL.Path == "/healthz" {
+			time.Sleep(time.Duration(b.healthDelay.Load()))
 		}
 		inner.ServeHTTP(w, r)
 	}))
@@ -639,17 +645,21 @@ func TestCoordinatorSweepRebalancesQueuedChains(t *testing.T) {
 // snapshot only after several health intervals, as a loaded backend
 // does: the push must still count as a warm rejoin. The slow-GET case
 // serves the snapshot pull more slowly than the snapshot pacing
-// interval: the pull must still land.
+// interval: the pull must still land. The slow-healthz case answers
+// the surviving shards' liveness probes more slowly than the probe
+// pacing: they must stay in the ring.
 func TestCoordinatorWarmRejoin(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		snapInterval time.Duration // -1: ticker off, snapshots pulled manually only
 		getDelay     time.Duration
 		putDelay     time.Duration
+		healthDelay  time.Duration
 	}{
-		{"fast PUT", -1, 0, 0},
-		{"slow PUT", -1, 0, 200 * time.Millisecond},                    // 4x HealthInterval
-		{"slow GET", 20 * time.Millisecond, 100 * time.Millisecond, 0}, // 5x SnapshotInterval
+		{"fast PUT", -1, 0, 0, 0},
+		{"slow PUT", -1, 0, 200 * time.Millisecond, 0},                    // 4x HealthInterval
+		{"slow GET", 20 * time.Millisecond, 100 * time.Millisecond, 0, 0}, // 5x SnapshotInterval
+		{"slow healthz", -1, 0, 0, 100 * time.Millisecond},                // 2x HealthInterval
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cl := newTestCluster(t, 3, func(o *Options) {
@@ -681,6 +691,9 @@ func TestCoordinatorWarmRejoin(t *testing.T) {
 			}
 
 			// Kill the victim and run the health loop until it is evicted.
+			for _, b := range cl.backends {
+				b.healthDelay.Store(int64(tc.healthDelay))
+			}
 			victimAddr := victim.addr
 			victim.srv.Close()
 			runCtx, stopRun := context.WithCancel(ctx)
@@ -743,6 +756,13 @@ func TestCoordinatorWarmRejoin(t *testing.T) {
 					t.Fatal("health loop never readmitted the resurrected shard")
 				}
 				time.Sleep(10 * time.Millisecond)
+			}
+			// Checked while the health loop still runs: every surviving
+			// shard has been probed through several passes by now.
+			for _, b := range cl.backends {
+				if b != victim && !cl.coord.ring.isAlive(b.addr) {
+					t.Fatalf("live backend %s marked down", b.addr)
+				}
 			}
 			stopRun()
 			<-runDone

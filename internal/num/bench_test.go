@@ -152,26 +152,8 @@ func expApprox(x float64) float64 {
 	return s
 }
 
-// benchThreads runs fn once per kernel-thread setting as /serial and
-// /parallel sub-benchmarks — the pairing the bench report keys on to
-// compute speedups. The settings are restored afterwards so other
-// benchmarks in the run see the process default.
-func benchThreads(b *testing.B, fn func(b *testing.B)) {
-	prev := KernelThreads()
-	b.Cleanup(func() { setKernelThreads(prev) })
-	b.Run("serial", func(b *testing.B) {
-		setKernelThreads(1)
-		fn(b)
-	})
-	b.Run("parallel", func(b *testing.B) {
-		setKernelThreads(4)
-		fn(b)
-	})
-}
-
 // BenchmarkMulVecLargeGrid is the headline SpMV kernel on the 256x256
-// five-point Laplacian (65k rows, ~327k nonzeros) — large enough that
-// the parallel path engages at its default work threshold.
+// five-point Laplacian (65k rows, ~327k nonzeros).
 func BenchmarkMulVecLargeGrid(b *testing.B) {
 	a := laplacian2D(256)
 	x := make([]float64, a.Cols)
@@ -179,15 +161,13 @@ func BenchmarkMulVecLargeGrid(b *testing.B) {
 	for i := range x {
 		x[i] = float64(i%13) * 0.25
 	}
-	benchThreads(b, func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a.MulVec(x, y)
-		}
-	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.MulVec(x, y)
+	}
 }
 
-// BenchmarkDotLarge exercises the chunked reduction on 1M elements.
+// BenchmarkDotLarge exercises the dot reduction on 1M elements.
 func BenchmarkDotLarge(b *testing.B) {
 	const n = 1 << 20
 	x := make([]float64, n)
@@ -196,37 +176,33 @@ func BenchmarkDotLarge(b *testing.B) {
 		x[i] = float64(i%17) * 0.5
 		y[i] = float64(i%11) * 0.25
 	}
-	benchThreads(b, func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sink = Dot(x, y)
-		}
-	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = Dot(x, y)
+	}
 }
 
 var sink float64
 
 // BenchmarkCGLargeGrid solves the 256x256 Laplacian with a cached
-// SparseSolver: the end-to-end effect of the parallel kernels on a
-// realistic Krylov solve. The solver is reused across iterations, so
-// the loop also demonstrates the allocation-free steady state.
+// SparseSolver: the kernels on a realistic Krylov solve. The solver is
+// reused across iterations, so the loop also demonstrates the
+// allocation-free steady state.
 func BenchmarkCGLargeGrid(b *testing.B) {
 	a := laplacian2D(256)
 	rhs := make([]float64, a.Rows)
 	for i := range rhs {
 		rhs[i] = float64(i%7) - 3
 	}
-	benchThreads(b, func(b *testing.B) {
-		s := NewSparseSolverSymmetric(a, true, IterOptions{Tol: 1e-8, MaxIter: 10 * a.Rows})
-		x := make([]float64, a.Rows)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			Fill(x, 0)
-			if _, err := s.Solve(rhs, x); err != nil {
-				b.Fatal(err)
-			}
+	s := NewSparseSolverSymmetric(a, true, IterOptions{Tol: 1e-8, MaxIter: 10 * a.Rows})
+	x := make([]float64, a.Rows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Fill(x, 0)
+		if _, err := s.Solve(rhs, x); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }
 
 // benchPrecond runs one CG solve per iteration as /jacobi and /mg

@@ -14,8 +14,6 @@ import (
 // the sequential summation order exactly, so in practice the match is
 // bitwise; 1e-10 is the contract.
 func TestBlockCGMatchesSequential(t *testing.T) {
-	setKernelThreads(1)
-	t.Cleanup(func() { setKernelThreads(0) })
 	const n, k = 48, 5
 	a := laplacian2D(n)
 	rng := rand.New(rand.NewSource(41))
@@ -190,7 +188,7 @@ func TestSolveBlock(t *testing.T) {
 }
 
 // TestMulVecBlockMatchesMulVec: the column-major multi-RHS SpMV must
-// agree with k independent MulVec calls, serial and parallel.
+// agree bitwise with k independent MulVec calls.
 func TestMulVecBlockMatchesMulVec(t *testing.T) {
 	a := laplacian2D(24)
 	rows := a.Rows
@@ -204,24 +202,11 @@ func TestMulVecBlockMatchesMulVec(t *testing.T) {
 	for j := 0; j < k; j++ {
 		a.MulVec(xx[j*rows:(j+1)*rows], want[j*rows:(j+1)*rows])
 	}
-	check := func(tag string) {
-		got := make([]float64, rows*k)
-		a.MulVecBlock(xx, got, k)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: block SpMV mismatch at %d: %g vs %g", tag, i, got[i], want[i])
-			}
+	got := make([]float64, rows*k)
+	a.MulVecBlock(xx, got, k)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("block SpMV mismatch at %d: %g vs %g", i, got[i], want[i])
 		}
 	}
-	setKernelThreads(1)
-	check("serial")
-	// Force the forked path by shrinking the thresholds.
-	setKernelThreads(4)
-	oldMin, oldChunk := parallelMinWork, parallelChunkWork
-	parallelMinWork, parallelChunkWork = 1, 512
-	t.Cleanup(func() {
-		parallelMinWork, parallelChunkWork = oldMin, oldChunk
-		setKernelThreads(0)
-	})
-	check("parallel")
 }

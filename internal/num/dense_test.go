@@ -133,6 +133,21 @@ func TestNorm2Overflow(t *testing.T) {
 	}
 }
 
+// TestNorm2EdgeCases covers the all-zero vector and an extreme
+// magnitude where the overflow-safe scaling matters.
+func TestNorm2EdgeCases(t *testing.T) {
+	zero := make([]float64, 1000)
+	if got := Norm2(zero); got != 0 {
+		t.Fatalf("Norm2(zero) = %g", got)
+	}
+	// One huge entry among zeros: no overflow, exact answer.
+	big := make([]float64, 1000)
+	big[777] = 1e300
+	if got := Norm2(big); got != 1e300 {
+		t.Fatalf("Norm2(huge) = %g", got)
+	}
+}
+
 func TestNorm2TriangleInequality(t *testing.T) {
 	f := func(a, b [4]float64) bool {
 		for _, v := range append(a[:], b[:]...) {

@@ -207,8 +207,6 @@ func (m *Multigrid) vcycle(l int) {
 }
 
 // jacobiSmooth runs damped-Jacobi sweeps x += omega * D^{-1} (b - A x).
-// The SpMV rides the kernel pool; the pointwise update is cheap enough
-// serial.
 func jacobiSmooth(lev *mgLevel, sweeps int) {
 	for s := 0; s < sweeps; s++ {
 		lev.a.MulVec(lev.x, lev.res)

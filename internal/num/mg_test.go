@@ -181,8 +181,6 @@ func TestGMGShapeMismatch(t *testing.T) {
 // TestMGApplyZeroAlloc is the per-cycle allocation contract: hierarchy
 // setup may allocate, Apply must not.
 func TestMGApplyZeroAlloc(t *testing.T) {
-	setKernelThreads(1)
-	t.Cleanup(func() { setKernelThreads(0) })
 	a := laplacian2D(32)
 	mg, err := NewGMG(a, GridShape{NX: 32, NY: 32})
 	if err != nil {

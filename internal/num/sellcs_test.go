@@ -93,35 +93,6 @@ func TestSELLStructure(t *testing.T) {
 	}
 }
 
-// TestSELLParallelMatchesSerial forces the kernel-pool fork on a small
-// matrix (shrunk thresholds) and checks the result is still bitwise the
-// serial one — slices are independent, so the split cannot change bits.
-func TestSELLParallelMatchesSerial(t *testing.T) {
-	minWork, chunkWork := parallelMinWork, parallelChunkWork
-	parallelMinWork, parallelChunkWork = 1, 1
-	setKernelThreads(4)
-	t.Cleanup(func() {
-		parallelMinWork, parallelChunkWork = minWork, chunkWork
-		setKernelThreads(0)
-	})
-	rng := rand.New(rand.NewSource(11))
-	a := skewedCSR(rng, 513, 513)
-	s := NewSELLCS(a)
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := make([]float64, a.Rows)
-	sellMulVecRange(s, x, want, 0, s.numSlices())
-	got := make([]float64, a.Rows)
-	s.MulVec(x, got)
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("row %d: parallel %v != serial %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestEnsureFormatPolicy pins the format heuristic: SELL-C-σ at and
 // above sellMinRows rows, CSR below it, CSR again when the conversion
 // pads past sellMaxPadding (counted), and one conversion per matrix.

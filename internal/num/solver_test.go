@@ -140,8 +140,6 @@ func TestSparseSolverConcurrent(t *testing.T) {
 // warm solves through a reused Workspace and prebuilt preconditioner
 // must not allocate at all.
 func TestKrylovWorkspaceZeroAlloc(t *testing.T) {
-	setKernelThreads(1) // the serial path is the alloc-free baseline
-	t.Cleanup(func() { setKernelThreads(0) })
 	a := laplacian2D(24)
 	n := a.Rows
 	rng := rand.New(rand.NewSource(9))

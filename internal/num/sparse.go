@@ -91,9 +91,7 @@ type CSR struct {
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Val) }
 
-// MulVec computes y = m*x. Large matrices are row-partitioned across
-// the kernel pool (see KernelThreads); the per-row sums are
-// identical to the serial loop either way.
+// MulVec computes y = m*x.
 func (m *CSR) MulVec(x, y []float64) {
 	if s := m.sell.Load(); s != nil {
 		s.MulVec(x, y) // counts its own traversed rows
@@ -103,16 +101,7 @@ func (m *CSR) MulVec(x, y []float64) {
 		panic(ErrShape)
 	}
 	spmvRowsTraversed.Add(uint64(m.Rows))
-	// SpMV does ~2 flops per stored entry; gate the fork on nnz.
-	chunks := kernelChunks(2 * m.NNZ())
-	if chunks == 1 {
-		mulVecRange(m, x, y, 0, m.Rows)
-		return
-	}
-	r := getRun(opMulVec)
-	r.a, r.x, r.y = m, x, y
-	forkJoin(r, m.Rows, chunks)
-	putRun(r)
+	mulVecRange(m, x, y, 0, m.Rows)
 }
 
 // Diag extracts the matrix diagonal into a fresh slice. Missing diagonal

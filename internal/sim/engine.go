@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"bright/internal/core"
-	"bright/internal/num"
 	"bright/internal/obs"
 )
 
@@ -64,10 +63,9 @@ type Options struct {
 	// SweepSegment bounds the points one stealable sweep segment may
 	// carry: chains longer than the bound split (preferentially at
 	// supply-voltage boundaries) so a skewed grid cannot serialize a
-	// sweep behind one goroutine. 0 means the default (16); negative
-	// disables splitting, restoring whole-chain scheduling. The bound
-	// trades steal granularity against warm-start carry — each segment's
-	// first point re-warms its solver stack cold.
+	// sweep behind one goroutine. Zero or negative means the default
+	// (16). The bound trades steal granularity against warm-start carry
+	// — each segment's first point re-warms its solver stack cold.
 	SweepSegment int
 	// Solver overrides the production solver (tests, benchmarks).
 	Solver Solver
@@ -102,7 +100,7 @@ func (o Options) withDefaults() Options {
 	if o.CacheSize == 0 {
 		o.CacheSize = 256
 	}
-	if o.SweepSegment == 0 {
+	if o.SweepSegment <= 0 {
 		o.SweepSegment = 16
 	}
 	if o.Solver == nil {
@@ -190,23 +188,13 @@ func (e *Engine) worker() {
 	}
 }
 
-// enqueue places a task on the bounded queue. With block=false a full
-// queue returns ErrQueueFull immediately (external backpressure); with
-// block=true the send waits for a slot or the context (internal sweep
-// fan-out, which is itself bounded by the job's point list).
-func (e *Engine) enqueue(t *task, block bool) error {
+// enqueue places a task on the bounded queue; a full queue returns
+// ErrQueueFull immediately (backpressure).
+func (e *Engine) enqueue(t *task) error {
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
 	if e.closed {
 		return ErrClosed
-	}
-	if block {
-		select {
-		case e.queue <- t:
-			return nil
-		case <-t.ctx.Done():
-			return t.ctx.Err()
-		}
 	}
 	select {
 	case e.queue <- t:
@@ -224,10 +212,6 @@ func (e *Engine) enqueue(t *task, block bool) error {
 // the flight leader, the solve itself (at solver iteration boundaries).
 // Failed or canceled solves are never cached.
 func (e *Engine) Evaluate(ctx context.Context, cfg core.Config) (*core.Report, error) {
-	return e.evaluate(ctx, cfg, false)
-}
-
-func (e *Engine) evaluate(ctx context.Context, cfg core.Config, block bool) (*core.Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -243,7 +227,7 @@ func (e *Engine) evaluate(ctx context.Context, cfg core.Config, block bool) (*co
 				return rep, nil
 			}
 			t := &task{ctx: ctx, cfg: cfg, key: key, call: call}
-			if err := e.enqueue(t, block); err != nil {
+			if err := e.enqueue(t); err != nil {
 				e.flight.forget(key, call, err)
 				return nil, err
 			}
@@ -271,7 +255,7 @@ func (e *Engine) evaluate(ctx context.Context, cfg core.Config, block bool) (*co
 	}
 }
 
-// evaluateChained is the sweep-chain variant of evaluate: the cache and
+// evaluateChained is the sweep-chain variant of Evaluate: the cache and
 // single-flight layers still apply, but the flight leader solves INLINE
 // with the chain's own stateful solver instead of enqueueing to the
 // worker pool — that is what lets consecutive points reuse one warm
@@ -307,7 +291,7 @@ func (e *Engine) evaluateChained(ctx context.Context, cfg core.Config, solver So
 			if call.err == nil {
 				return call.rep, false, nil
 			}
-			// Same follower-retry rule as evaluate: a live follower is not
+			// Same follower-retry rule as Evaluate: a live follower is not
 			// penalized for the leader's cancellation.
 			if ctx.Err() == nil && call.leaderCanceled {
 				continue
@@ -385,7 +369,6 @@ func (e *Engine) Stats() Stats {
 		SweepPointsCold:     e.m.sweepPointsCold.Value(),
 		SweepPrefetches:     e.m.sweepPrefetches.Value(),
 		SweepPrefetchErrors: e.m.sweepPrefetchErrors.Value(),
-		KernelThreads:       num.KernelThreads(),
 	}
 }
 

@@ -39,9 +39,9 @@ type sweepSegment struct {
 // second-innermost axis, so a segment keeps whole load runs and its
 // interior warm starts stay nearest-neighbor in the sweep plane); a
 // segment is force-split at twice the bound if no voltage boundary
-// shows up. maxPts <= 0 disables splitting.
+// shows up. maxPts must be positive (Options.withDefaults ensures it).
 func segmentChain(chain []gridPoint, maxPts int) [][]gridPoint {
-	if maxPts <= 0 || len(chain) <= maxPts {
+	if len(chain) <= maxPts {
 		return [][]gridPoint{chain}
 	}
 	var segs [][]gridPoint

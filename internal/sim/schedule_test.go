@@ -26,9 +26,8 @@ func loadChain(n, voltsEvery int) []gridPoint {
 }
 
 func TestSegmentChainBounds(t *testing.T) {
-	// At or under the bound, and with splitting disabled, chains stay
-	// whole.
-	for _, tc := range []struct{ n, max int }{{5, 16}, {16, 16}, {100, 0}, {100, -1}} {
+	// At or under the bound, chains stay whole.
+	for _, tc := range []struct{ n, max int }{{5, 16}, {16, 16}} {
 		segs := segmentChain(loadChain(tc.n, 4), tc.max)
 		if len(segs) != 1 || len(segs[0]) != tc.n {
 			t.Fatalf("chain of %d with bound %d split into %d segments", tc.n, tc.max, len(segs))
@@ -138,9 +137,10 @@ func TestSegmentSchedulerDealAndSteal(t *testing.T) {
 // TestSweepSkewedChainSpeedup is the fairness acceptance test: a grid
 // whose chain structure leaves workers idle (one long chain) must
 // finish measurably faster with segment scheduling than with
-// whole-chain scheduling (SweepSegment < 0, the pre-scheduler
-// behavior). Solves sleep a fixed 5ms, so the ratio measures scheduling
-// alone, not solver throughput — valid even on a single-core box.
+// whole-chain scheduling (a SweepSegment bound at least the chain
+// length keeps the chain one segment). Solves sleep a fixed 5ms, so the
+// ratio measures scheduling alone, not solver throughput — valid even
+// on a single-core box.
 func TestSweepSkewedChainSpeedup(t *testing.T) {
 	const points = 32
 	const delay = 5 * time.Millisecond
@@ -169,8 +169,8 @@ func TestSweepSkewedChainSpeedup(t *testing.T) {
 		return time.Since(start)
 	}
 
-	sequential := run(-1) // whole-chain scheduling: one worker walks all 32 points
-	segmented := run(4)   // 8 segments across 4 workers
+	sequential := run(points) // whole-chain scheduling: one worker walks all 32 points
+	segmented := run(4)       // 8 segments across 4 workers
 
 	t.Logf("skewed sweep: whole-chain=%v segmented=%v", sequential, segmented)
 	// Ideal is 4x; require 1.5x to stay robust against scheduler jitter

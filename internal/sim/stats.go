@@ -78,10 +78,6 @@ type Stats struct {
 	// chain's points still solve in the sequential walk.
 	SweepPrefetches     uint64 `json:"sweep_prefetches"`
 	SweepPrefetchErrors uint64 `json:"sweep_prefetch_errors"`
-
-	// KernelThreads is the goroutine cap of the numeric kernels (SpMV,
-	// dot, axpy) behind every solve: the process's GOMAXPROCS.
-	KernelThreads int `json:"kernel_threads"`
 }
 
 // metrics holds the engine's mutable counters, backed by obs

@@ -2,7 +2,7 @@
 // a goleak-style goroutine-neutrality harness for package TestMains.
 // After a package's tests pass, it snapshots every live goroutine via
 // runtime.Stack, subtracts an allowlist (test machinery, stdlib signal
-// pollers, the process-lifetime kernel pool), and fails the run if
+// pollers, os/exec's context watcher), and fails the run if
 // anything else is still alive once a retry window — goroutines that
 // are merely winding down deserve a moment — has elapsed. The serving
 // packages (internal/sim, internal/stream, internal/cluster) wire it
@@ -39,10 +39,6 @@ var defaultAllow = []string{
 	"os/signal.signal_recv",
 	"os/signal.loop",
 	"runtime.ensureSigM",
-	// The persistent kernel pool (internal/num): workers park on the
-	// work channel forever by contract; they are the one sanctioned
-	// process-lifetime pool in the repo.
-	"internal/num.kernelWorker",
 	// os/exec's context watcher unwinds asynchronously after Wait
 	// (the cluster e2e test runs real brightd processes).
 	"os/exec.(*Cmd).watchCtx",
